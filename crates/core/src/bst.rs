@@ -28,8 +28,8 @@
 //! per pair (see DESIGN.md §13).
 
 use crate::bar::{Bar, BarAntecedent, ExclusionClause, Sign};
+use crate::pool;
 use microarray::{BitSet, BoolDataset, ClassId, ItemId, SampleId};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -562,9 +562,10 @@ impl ColBuilder {
 }
 
 /// The interned, blocked construction core shared by every class build:
-/// columns fan out across cores in contiguous chunks; within a chunk the
-/// out-samples stream in cache-sized blocks (block-outer, columns-inner),
-/// so one block's bitsets stay hot while every column interns against it.
+/// columns fan out over the [`pool::global`] lanes in contiguous chunks,
+/// one chunk per lane; within a chunk the out-samples stream in
+/// cache-sized blocks (block-outer, columns-inner), so one block's
+/// bitsets stay hot while every column interns against it.
 /// Per column, pairs are still visited in ascending `h` order, so entry
 /// numbering (first-seen) is identical to the sequential legacy builder.
 fn build_interned(
@@ -574,33 +575,31 @@ fn build_interned(
 ) -> (ListArena, Vec<Vec<u32>>) {
     let n_cols = class_expr.len();
     let blocks = out_sample_blocks(out_expr_sets);
-    let workers =
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).clamp(1, n_cols.max(1));
+    let pool = pool::global();
+    let workers = pool.lanes().min(n_cols.max(1));
     let chunk = n_cols.div_ceil(workers);
     let ranges: Vec<std::ops::Range<usize>> = (0..workers)
         .map(|w| (w * chunk)..((w + 1) * chunk).min(n_cols))
         .filter(|r| !r.is_empty())
         .collect();
-    let built: Vec<Vec<ColBuilder>> = ranges
-        .par_iter()
-        .map(|range| {
-            let mut cols: Vec<ColBuilder> =
-                range.clone().map(|_| ColBuilder::new(n_items, out_expr_sets.len())).collect();
-            for block in &blocks {
-                for (ci, c) in range.clone().enumerate() {
-                    let c_set = &class_expr[c];
-                    let col = &mut cols[ci];
-                    for h in block.clone() {
-                        col.intern_pair(c_set, &out_expr_sets[h]);
-                    }
+    let built: Vec<Vec<ColBuilder>> = pool.map(ranges.len(), |w| {
+        let range = ranges[w].clone();
+        let mut cols: Vec<ColBuilder> =
+            range.clone().map(|_| ColBuilder::new(n_items, out_expr_sets.len())).collect();
+        for block in &blocks {
+            for (ci, c) in range.clone().enumerate() {
+                let c_set = &class_expr[c];
+                let col = &mut cols[ci];
+                for h in block.clone() {
+                    col.intern_pair(c_set, &out_expr_sets[h]);
                 }
             }
-            for col in &mut cols {
-                col.seal();
-            }
-            cols
-        })
-        .collect();
+        }
+        for col in &mut cols {
+            col.seal();
+        }
+        cols
+    });
 
     let mut arena = ListArena::new();
     arena.reserve_exact(
@@ -649,7 +648,8 @@ impl Bst {
     /// Builds the BST for `class` from a training dataset (Algorithm 1).
     ///
     /// Records its wall time as one `bst_build` span per class in
-    /// [`obs::global`] (classes build in parallel; spans may overlap),
+    /// [`obs::global`] (classes build one after another, so one
+    /// training's spans sum to its build wall time),
     /// and adds to the `bstc_bst_pairs_total` /
     /// `bstc_bst_distinct_lists_total` / `bstc_bst_arena_bytes_total`
     /// process counters ([`obs::counters`]).
@@ -725,7 +725,7 @@ impl Bst {
             out_samples.iter().map(|&s| data.sample(s).clone()).collect();
 
         let columns: Vec<(Vec<ExclusionList>, Vec<u32>)> = class_expr
-            .par_iter()
+            .iter()
             .map(|c_set| {
                 let mut unique: Vec<ExclusionList> = Vec::new();
                 let mut seen: HashMap<ExclusionList, u32> = HashMap::new();
@@ -775,19 +775,9 @@ impl Bst {
     /// Builds BSTs for every class of the dataset (the classifier's
     /// training step). Total cost `O(|S|²·|G|)` per §3.1.1.
     ///
-    /// Classes are built in parallel when there are enough of them to
-    /// amortize thread spawns (the rayon shim's sequential fast path keeps
-    /// 2-class datasets on the calling thread, where the per-column
-    /// parallelism inside [`Bst::build`] already saturates the machine).
-    /// Output is identical to [`Bst::build_all_seq`].
+    /// Classes are built one after another; the parallelism lives inside
+    /// [`Bst::build`], which spreads each class's columns over the pool.
     pub fn build_all(data: &BoolDataset) -> Vec<Bst> {
-        let classes: Vec<ClassId> = (0..data.n_classes()).collect();
-        classes.par_iter().map(|&c| Bst::build(data, c)).collect()
-    }
-
-    /// Sequential reference form of [`Bst::build_all`], kept for
-    /// differential tests of the parallel fan-out.
-    pub fn build_all_seq(data: &BoolDataset) -> Vec<Bst> {
         (0..data.n_classes()).map(|c| Bst::build(data, c)).collect()
     }
 

@@ -20,7 +20,6 @@
 use crate::bst::Bst;
 use crate::compiled::CompiledModel;
 use microarray::{BitSet, BoolDataset, ClassId, ItemId, SampleId};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// How a cell's exclusion-list satisfactions are combined into the cell
@@ -159,10 +158,10 @@ impl BstcModel {
         best
     }
 
-    /// Classifies a batch of queries, fanned out across cores (tiny
-    /// batches stay sequential via the rayon shim's fast path).
+    /// Classifies a batch of queries, fanned out over the
+    /// [`pool::global`](crate::pool::global) lanes.
     pub fn classify_all(&self, queries: &[BitSet]) -> Vec<ClassId> {
-        queries.par_iter().map(|q| self.classify(q)).collect()
+        crate::pool::global().map(queries.len(), |i| self.classify(&queries[i]))
     }
 
     /// The §8 confidence heuristic: normalized gap between the highest and

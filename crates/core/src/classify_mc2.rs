@@ -29,7 +29,6 @@ use crate::bar::{Bar, Sign};
 use crate::bst::Bst;
 use crate::mine::{mine_topk_per_sample, Mc2Bar};
 use microarray::{BitSet, BoolDataset, ClassId};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A trained §4.2 (MC)²BAR classifier.
@@ -116,14 +115,15 @@ impl Mc2Classifier {
     }
 
     /// Classifies a batch: the rules are lowered to mask form once
-    /// ([`Mc2Classifier::compile`]) and the queries fanned out across
-    /// cores. Predictions are identical to per-query [`Mc2Classifier::classify`].
+    /// ([`Mc2Classifier::compile`]) and the queries fanned out over the
+    /// [`pool::global`](crate::pool::global) lanes. Predictions are
+    /// identical to per-query [`Mc2Classifier::classify`].
     pub fn classify_all(&self, queries: &[BitSet]) -> Vec<ClassId> {
         let Some(first) = queries.first() else {
             return Vec::new();
         };
         let compiled = self.compile(first.capacity());
-        queries.par_iter().map(|q| compiled.classify(q)).collect()
+        crate::pool::global().map(queries.len(), |i| compiled.classify(&queries[i]))
     }
 
     /// Lowers every rule into word-packed masks over an `n_items`-sized

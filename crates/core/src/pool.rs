@@ -1,8 +1,8 @@
-//! A reusable scoped worker pool for data-parallel kernel execution.
+//! The process's one data-parallel runtime: a reusable scoped worker
+//! pool.
 //!
-//! [`CompiledModel::classify_all`](crate::CompiledModel::classify_all)
-//! used to spawn fresh OS threads with `std::thread::scope` on every
-//! call — fine for one offline batch, hostile to a server executing
+//! Spawning fresh OS threads with `std::thread::scope` on every call is
+//! fine for one offline batch and hostile to a server executing
 //! thousands of micro-batches per second, where per-call spawns cost
 //! more than the kernel. This pool keeps `N − 1` helper threads parked
 //! on a condvar and hands them **broadcast jobs**: a borrowed
@@ -11,7 +11,7 @@
 //! everything inline with zero synchronization) claim task indices from
 //! a shared atomic counter until the range is exhausted.
 //!
-//! Design properties the kernel code relies on:
+//! Design properties the callers rely on:
 //!
 //! * **Zero allocation per `run`** — the job is passed by reference
 //!   (lifetime-erased for the duration of the call), nothing is boxed,
@@ -19,14 +19,19 @@
 //!   (asserted by `tests/alloc_free.rs`).
 //! * **Scoped borrows** — `run` does not return until every helper has
 //!   finished the job, so the closure may borrow the caller's stack.
+//! * **Safe from anywhere** — one job owns the helpers at a time. A
+//!   `run` that finds the pool busy (a task calling `run` again, or a
+//!   second thread calling it concurrently) executes its tasks inline
+//!   on the calling thread, so nesting never oversubscribes the
+//!   machine, loses work or deadlocks.
 //! * **Panic safety** — a panicking task is caught in the worker, the
 //!   job still completes (remaining indices are drained), and `run`
 //!   re-panics on the caller's thread; helpers survive for the next
 //!   job.
 //!
-//! One process-wide pool ([`global`]) sized to
-//! `available_parallelism() − 1` helpers is shared by `classify_all`
-//! and the serve batcher, so a server never oversubscribes cores no
+//! One process-wide pool ([`global`]) sized to `available_parallelism`
+//! lanes runs BST construction, CV replicates, batch classification and
+//! the serve batcher, so the process never oversubscribes cores no
 //! matter how many subsystems want parallelism.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,7 +43,9 @@ use std::thread::JoinHandle;
 ///
 /// Soundness: the pointer is only dereferenced between the generation
 /// bump that publishes it and the completion handshake that `run` blocks
-/// on, and `run` keeps the referent alive for that whole window.
+/// on, and `run` keeps the referent alive for that whole window. The
+/// pool's `busy` flag keeps a second job from being published (and the
+/// shared counters reset) inside that window.
 #[derive(Clone, Copy)]
 struct RawJob {
     task: *const (dyn Fn(usize) + Sync),
@@ -76,6 +83,10 @@ struct Shared {
 /// See the module docs for the execution model.
 pub struct WorkerPool {
     shared: &'static Shared,
+    /// Set while a job owns the helpers; a `run` that finds it set runs
+    /// inline instead. The `Acquire` claim pairs with the `Release`
+    /// clear, so a new owner sees the previous job fully drained.
+    busy: AtomicBool,
     /// Helper threads (parallelism − 1; may be empty).
     handles: Vec<JoinHandle<()>>,
 }
@@ -106,7 +117,7 @@ impl WorkerPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool { shared, handles }
+        WorkerPool { shared, busy: AtomicBool::new(false), handles }
     }
 
     /// Total execution lanes (caller + helpers).
@@ -116,14 +127,21 @@ impl WorkerPool {
 
     /// Executes `task(0..n_tasks)` across the pool's lanes and returns
     /// when every index has completed. The caller participates, so this
-    /// is a plain inline loop when the pool has no helpers or the job
-    /// has a single task. Allocation-free. Re-panics (after the job
+    /// is a plain inline loop when the pool has no helpers, the job has
+    /// a single task, or the pool is already running a job (nested or
+    /// concurrent calls). Allocation-free. Re-panics (after the job
     /// fully drains) if any task panicked.
     pub fn run(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         if n_tasks == 0 {
             return;
         }
-        if self.handles.is_empty() || n_tasks == 1 {
+        if self.handles.is_empty()
+            || n_tasks == 1
+            || self
+                .busy
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
             for i in 0..n_tasks {
                 task(i);
             }
@@ -161,9 +179,26 @@ impl WorkerPool {
         }
         drop(active);
 
-        if shared.panicked.load(Ordering::SeqCst) {
+        let panicked = shared.panicked.load(Ordering::SeqCst);
+        self.busy.store(false, Ordering::Release);
+        if panicked {
             panic!("worker pool task panicked");
         }
+    }
+
+    /// Computes `f(0..n)` across the pool's lanes and returns the
+    /// results in index order. Runs inline under the same conditions as
+    /// [`WorkerPool::run`].
+    pub fn map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        self.run(n, &|i| {
+            let value = f(i);
+            *slots[i].lock().expect("pool map slot") = Some(value);
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("pool map slot").expect("every index ran"))
+            .collect()
     }
 }
 
@@ -224,9 +259,11 @@ fn helper_loop(shared: &'static Shared) {
 }
 
 /// The process-wide shared pool, sized to the machine
-/// (`available_parallelism`), created on first use. `classify_all` and
-/// the serve batcher both draw from it, so kernel parallelism is
-/// coordinated instead of multiplicative.
+/// (`available_parallelism`), created on first use. BST construction,
+/// CV, batch classification and the serve batcher all draw from it, so
+/// parallelism is coordinated instead of multiplicative: whichever
+/// caller holds the pool fans out, everyone nested inside it or
+/// concurrent with it runs inline.
 pub fn global() -> &'static WorkerPool {
     static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {
@@ -331,5 +368,123 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn nested_run_executes_every_inner_index_once() {
+        let pool = WorkerPool::new(4);
+        let hits: Vec<AtomicU64> = (0..16).map(|_| AtomicU64::new(0)).collect();
+        pool.run(4, &|outer| {
+            pool.run(4, &|inner| {
+                hits[outer * 4 + inner].fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        let counts: Vec<u64> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+        assert_eq!(counts, vec![1; 16]);
+    }
+
+    #[test]
+    fn concurrent_callers_each_run_every_index_once() {
+        let pool = WorkerPool::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for round in 0..500 {
+                        let hits: Vec<AtomicU64> = (0..16).map(|_| AtomicU64::new(0)).collect();
+                        pool.run(16, &|i| {
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        });
+                        let counts: Vec<u64> =
+                            hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+                        assert_eq!(counts, vec![1; 16], "round {round}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_caller_that_finds_the_pool_held_runs_inline() {
+        use std::sync::Barrier;
+        let pool = WorkerPool::new(3);
+        // Thread A's job holds the pool until thread B's whole `run` has
+        // finished, so B's call is forced to overlap it.
+        let (held, released) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.run(2, &|i| {
+                    if i == 0 {
+                        held.wait();
+                        released.wait();
+                    }
+                });
+            });
+            held.wait();
+            let caller = std::thread::current().id();
+            let ids = pool.map(16, |_| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id == caller), "ran off the caller while held");
+            released.wait();
+        });
+    }
+
+    #[test]
+    fn busy_flag_is_released_after_a_panicking_job() {
+        let pool = WorkerPool::new(2);
+        let result = catch_unwind(AssertUnwindSafe(|| pool.run(4, &|_| panic!("boom"))));
+        assert!(result.is_err());
+        // A released pool fans out again: two tasks rendezvous at a
+        // two-party barrier, which only completes on two threads.
+        let barrier = std::sync::Barrier::new(2);
+        pool.run(2, &|_| {
+            barrier.wait();
+        });
+    }
+
+    #[test]
+    fn map_preserves_index_order() {
+        let pool = WorkerPool::new(4);
+        let out = pool.map(1000, |i| (i, i * 2));
+        for (i, &(idx, doubled)) in out.iter().enumerate() {
+            assert_eq!(idx, i);
+            assert_eq!(doubled, i * 2);
+        }
+    }
+
+    #[test]
+    fn map_of_empty_input_is_empty() {
+        let pool = WorkerPool::new(4);
+        let out: Vec<u8> = pool.map(0, |_| unreachable!("no index to run"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn tiny_and_nested_maps_stay_on_the_calling_thread() {
+        let pool = WorkerPool::new(4);
+        let caller = std::thread::current().id();
+        for n in 0..=1 {
+            let ids = pool.map(n, |_| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id == caller), "n={n} left the caller");
+        }
+        // Inside a job every inner map runs on the thread of the task
+        // that issued it.
+        let nested_ok = pool.map(8, |_| {
+            let outer = std::thread::current().id();
+            pool.map(8, |_| std::thread::current().id()).iter().all(|&id| id == outer)
+        });
+        assert!(nested_ok.iter().all(|&ok| ok));
+        // A single-lane pool never leaves the caller.
+        let single = WorkerPool::new(1);
+        let ids = single.map(64, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn map_matches_sequential_across_sizes() {
+        let pool = WorkerPool::new(3);
+        for n in [0usize, 1, 4, 5, 64, 1000] {
+            let out = pool.map(n, |v| v * 3 + 1);
+            let expected: Vec<usize> = (0..n).map(|v| v * 3 + 1).collect();
+            assert_eq!(out, expected, "n={n}");
+        }
     }
 }

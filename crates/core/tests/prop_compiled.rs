@@ -4,7 +4,7 @@
 //! for every [`Arithmetization`], and the parallel trainer must produce
 //! exactly the sequential trainer's output.
 
-use bstc::{Arithmetization, BatchScratch, Bst, BstcModel, ParBatchScratch, Scratch, WorkerPool};
+use bstc::{Arithmetization, BatchScratch, BstcModel, ParBatchScratch, Scratch, WorkerPool};
 use microarray::{BitSet, BoolDataset};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -209,19 +209,6 @@ proptest! {
                 }
             }
             microarray::simd::force_portable(false);
-        }
-    }
-
-    /// The parallel per-class / per-column trainer produces exactly the
-    /// sequential trainer's output.
-    #[test]
-    fn parallel_build_all_equals_sequential(case in cases()) {
-        let (data, _) = build_dataset(&case);
-        let parallel = Bst::build_all(&data);
-        let sequential = Bst::build_all_seq(&data);
-        prop_assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            prop_assert_eq!(p, s);
         }
     }
 }

@@ -1,12 +1,13 @@
 //! The cross-validation driver behind Figures 4–7 and Tables 4–7: draws
 //! the 25 seeded splits of each training-set size and fans the independent
-//! tests out across cores with rayon (the runs are embarrassingly
-//! parallel; the measured algorithms themselves stay single-threaded).
+//! tests out over the [`bstc::pool::global`] lanes (the runs are
+//! embarrassingly parallel). Each replicate's build and classify calls
+//! into the pool run inline on its lane, so the machine is never
+//! oversubscribed.
 
 use crate::runner::{prepare, Prepared};
 use crate::split::{draw_splits, Split, SplitSpec};
 use microarray::ContinuousDataset;
-use rayon::prelude::*;
 
 /// One cross-validation cell: a split spec plus replicate count.
 #[derive(Clone, Debug)]
@@ -51,11 +52,7 @@ where
     F: Fn(usize, &Prepared) -> R + Sync,
 {
     let splits = cell.splits(data);
-    splits
-        .par_iter()
-        .enumerate()
-        .map(|(rep, split)| prepare(data, split).map(|p| f(rep, &p)))
-        .collect()
+    bstc::pool::global().map(splits.len(), |rep| prepare(data, &splits[rep]).map(|p| f(rep, &p)))
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //!   training side, then timed BSTC / Top-k / RCBT / SVM / forest / tree
 //!   runs with cutoff (DNF) accounting;
 //! * [`confusion`] — confusion matrices and per-class metrics;
-//! * [`cv`] — the 25-replicate cross-validation driver (rayon-parallel
-//!   across replicates);
+//! * [`cv`] — the 25-replicate cross-validation driver (parallel across
+//!   replicates on the shared worker pool);
 //! * [`stream`] — the out-of-core replicate runner: splits as
 //!   `SubsetView`s over any `ColumnSource`, chunked fit/transform, and
 //!   the per-replicate seed schedule that makes sharded runs

@@ -55,7 +55,7 @@ struct Inner {
 }
 
 /// A collector of parent-linked spans. Cheap enough for per-replicate
-/// granularity; thread-safe so rayon-parallel replicates can record
+/// granularity; thread-safe so parallel replicates can record
 /// concurrently.
 pub struct Trace {
     inner: Mutex<Inner>,

@@ -152,6 +152,34 @@ fn corpus_gets_exact_statuses_and_the_worker_survives_each_case() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_400_not_a_stack_overflow() {
+    // A stack overflow cannot be caught: unbounded parser recursion on a
+    // megabyte of `[` would abort the whole process. Both JSON-reading
+    // routes must refuse it as bad_json and keep serving.
+    let handle = boot();
+    let addr = handle.addr();
+    let body = vec![b'['; 1_000_000];
+    for route in ["/classify", "/reload"] {
+        let mut raw = format!(
+            "POST {route} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(&body);
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(&raw).expect("write");
+        let mut response = String::new();
+        use std::io::Read as _;
+        let _ = stream.read_to_string(&mut response);
+        assert!(response.starts_with("HTTP/1.1 400"), "{route}: unexpected response:\n{response}");
+        assert!(response.contains("bad_json"), "{route}: wrong error code:\n{response}");
+        assert!(health_ok(addr), "server died after deeply nested JSON on {route}");
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn chunked_body_is_never_reparsed_as_a_second_request() {
     // The desync shape: a chunked POST whose decoded body is itself a
     // well-formed GET. The parser owns the chunk framing end to end, so

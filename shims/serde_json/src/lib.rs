@@ -71,7 +71,7 @@ where
 {
     let mut parser = Parser { bytes: s.as_bytes(), pos: 0 };
     parser.skip_ws();
-    let content = parser.value()?;
+    let content = parser.value(0)?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(err(format!("trailing characters at offset {}", parser.pos)));
@@ -198,6 +198,12 @@ fn write_escaped(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser
+/// recurses once per level, so without a cap a long run of `[` would
+/// overflow the thread's stack and abort the process; deeper input is a
+/// parse error instead.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -241,8 +247,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Content, Error> {
+    /// Parses one value nested inside `depth` enclosing arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Content, Error> {
         self.skip_ws();
+        if matches!(self.peek(), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+            return Err(err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            )));
+        }
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Content::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Content::Bool(true)),
@@ -257,7 +270,7 @@ impl<'a> Parser<'a> {
                     return Ok(Content::Seq(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => {
@@ -284,7 +297,7 @@ impl<'a> Parser<'a> {
                     let key = self.string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let val = self.value()?;
+                    let val = self.value(depth + 1)?;
                     entries.push((key, val));
                     self.skip_ws();
                     match self.peek() {
@@ -444,5 +457,18 @@ mod tests {
         let pretty = to_string_pretty(&v).unwrap();
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(to_string(&back).unwrap(), to_string(&v).unwrap());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let objects = |d: usize| format!("{}0{}", "{\"k\":".repeat(d), "}".repeat(d));
+        assert!(from_str::<Value>(&arrays(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&objects(MAX_DEPTH)).is_ok());
+        let too_deep = from_str::<Value>(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(too_deep.to_string().contains("nesting deeper than 128"), "{too_deep}");
+        assert!(from_str::<Value>(&objects(MAX_DEPTH + 1)).is_err());
+        // A megabyte of `[` is a parse error, not a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
     }
 }
