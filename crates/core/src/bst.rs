@@ -927,6 +927,76 @@ impl Bst {
         }
     }
 
+    /// Checks the shape invariants that [`Bst::build`] guarantees and
+    /// every accessor, the compiled lowering and BSTCE rely on, for a
+    /// table that arrived by deserialization: set capacities and word
+    /// counts, arena item ids below `n_items`, and an `excl_idx` with one
+    /// in-range entry per (class sample, out-sample) pair. A table that
+    /// fails would panic later, on first use; this turns that into an
+    /// error at load.
+    ///
+    /// # Errors
+    /// Describes the first violated invariant.
+    pub(crate) fn check_structure(&self) -> Result<(), String> {
+        let class = self.class;
+        let n_cols = self.class_samples.len();
+        let n_out = self.out_samples.len();
+        let sets_ok = |sets: &[BitSet], len: usize, capacity: usize| {
+            sets.len() == len && sets.iter().all(|s| s.capacity() == capacity && s.is_well_formed())
+        };
+        if !sets_ok(&self.class_expr, n_cols, self.n_items) {
+            return Err(format!(
+                "class {class}: class_expr must hold {n_cols} well-formed sets of {} items",
+                self.n_items
+            ));
+        }
+        if !sets_ok(&self.out_expr_sets, n_out, self.n_items) {
+            return Err(format!(
+                "class {class}: out_expr_sets must hold {n_out} well-formed sets of {} items",
+                self.n_items
+            ));
+        }
+        if !sets_ok(&self.out_expr, self.n_items, n_out) {
+            return Err(format!(
+                "class {class}: out_expr must hold {} well-formed sets of {n_out} out-samples",
+                self.n_items
+            ));
+        }
+        if self.excl_unique.n_cols() != n_cols {
+            return Err(format!(
+                "class {class}: {} exclusion-list columns for {n_cols} class samples",
+                self.excl_unique.n_cols()
+            ));
+        }
+        if let Some(&id) = self.excl_unique.items.iter().find(|&&id| id >= self.n_items) {
+            return Err(format!(
+                "class {class}: exclusion-list item {id} is out of range 0..{}",
+                self.n_items
+            ));
+        }
+        if self.excl_idx.len() != n_cols {
+            return Err(format!(
+                "class {class}: excl_idx has {} rows for {n_cols} class samples",
+                self.excl_idx.len()
+            ));
+        }
+        for (c, row) in self.excl_idx.iter().enumerate() {
+            let n_lists = self.excl_unique.col(c).len();
+            if row.len() != n_out {
+                return Err(format!(
+                    "class {class}: excl_idx row {c} has {} entries for {n_out} out-samples",
+                    row.len()
+                ));
+            }
+            if let Some(&u) = row.iter().find(|&&u| u as usize >= n_lists) {
+                return Err(format!(
+                    "class {class}: excl_idx row {c} names list {u} but the column has {n_lists}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Streams this BST's canonical compact JSON — byte-identical to
     /// `serde_json::to_string(self)` — into an `io::Write` without
     /// building the serde shim's in-memory `Content` tree. The exclusion
@@ -1320,6 +1390,34 @@ mod tests {
         assert!(json.contains("\"excl_unique\":[[{\"sign\":\"Pos\",\"items\":\"0\"}"), "{json}");
         let back: Bst = serde_json::from_str(&json).unwrap();
         assert_eq!(back, bst);
+    }
+
+    #[test]
+    fn check_structure_refuses_each_kind_of_tampered_table() {
+        let (_, bst) = cancer_bst();
+        bst.check_structure().unwrap();
+        let json = serde_json::to_string(&bst).unwrap();
+        // (what, original text, tampered text, expected error fragment)
+        let tampers = [
+            ("item id", "\"items\":\"0\"", "\"items\":\"6\"", "item 6 is out of range 0..6"),
+            ("excl_idx entry", "\"excl_idx\":[[0,1]", "\"excl_idx\":[[0,2]", "names list 2"),
+            ("excl_idx row", "\"excl_idx\":[[0,1]", "\"excl_idx\":[[0,1,0]", "has 3 entries"),
+            ("stray bit", "\"words\":[23]", "\"words\":[87]", "class_expr must hold"),
+            (
+                "word count",
+                "\"capacity\":6,\"words\":[23]",
+                "\"capacity\":65,\"words\":[23]",
+                "class_expr",
+            ),
+            ("n_items", "\"n_items\":6", "\"n_items\":7", "class_expr must hold 3"),
+        ];
+        for (what, from, to, expected) in tampers {
+            assert!(json.contains(from), "{what}: fixture JSON lacks {from}");
+            let tampered: Bst = serde_json::from_str(&json.replacen(from, to, 1))
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let e = tampered.check_structure().expect_err(what);
+            assert!(e.contains(expected), "{what}: {e}");
+        }
     }
 
     #[test]

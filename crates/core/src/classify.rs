@@ -101,6 +101,27 @@ impl BstcModel {
         &self.bsts[class]
     }
 
+    /// Checks a deserialized model against the item universe it will be
+    /// queried in: every class BST is built over `n_items` items, its
+    /// item sets have that capacity and no stray bits, every exclusion
+    /// list names items below `n_items`, and its (class sample,
+    /// out-sample) index table has one in-range entry per pair.
+    ///
+    /// # Errors
+    /// Describes the first violated invariant.
+    pub fn check_structure(&self, n_items: usize) -> Result<(), String> {
+        for (class, bst) in self.bsts.iter().enumerate() {
+            if bst.n_items() != n_items {
+                return Err(format!(
+                    "class {class}: BST has {} items but the discretizer produces {n_items}",
+                    bst.n_items()
+                ));
+            }
+            bst.check_structure()?;
+        }
+        Ok(())
+    }
+
     /// The arithmetization the model was trained with.
     pub fn arithmetization(&self) -> Arithmetization {
         self.arith

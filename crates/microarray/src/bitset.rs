@@ -60,6 +60,18 @@ impl BitSet {
         self.capacity
     }
 
+    /// Whether the word vector matches the capacity: exactly
+    /// `capacity.div_ceil(64)` words and no bit set at a position
+    /// `>= capacity`. Every constructor guarantees this; a deserialized
+    /// set is only trustworthy once it has been checked.
+    pub fn is_well_formed(&self) -> bool {
+        if self.words.len() != self.capacity.div_ceil(WORD_BITS) {
+            return false;
+        }
+        let excess = self.words.len() * WORD_BITS - self.capacity;
+        excess == 0 || self.words.last().is_some_and(|&w| w >> (WORD_BITS - excess) == 0)
+    }
+
     /// Inserts `i` into the set.
     ///
     /// # Panics
@@ -394,6 +406,21 @@ mod tests {
         // capacity that is an exact multiple of the word size
         let s = BitSet::full(128);
         assert_eq!(s.len(), 128);
+    }
+
+    #[test]
+    fn well_formedness_checks_word_count_and_excess_bits() {
+        for cap in [0, 1, 63, 64, 65, 128] {
+            assert!(BitSet::full(cap).is_well_formed(), "full({cap})");
+        }
+        let short = BitSet { capacity: 65, words: vec![0] };
+        assert!(!short.is_well_formed(), "too few words");
+        let long = BitSet { capacity: 64, words: vec![0, 0] };
+        assert!(!long.is_well_formed(), "too many words");
+        let stray = BitSet { capacity: 65, words: vec![0, 0b10] };
+        assert!(!stray.is_well_formed(), "bit 65 is past capacity");
+        let edge = BitSet { capacity: 65, words: vec![0, 0b1] };
+        assert!(edge.is_well_formed(), "bit 64 is in range");
     }
 
     #[test]

@@ -366,6 +366,16 @@ fn run_group(
     }
 }
 
+/// Serializes the in-crate tests whose batches pass the process-global
+/// `"batcher"` chaos site: one of them arms that site with a panic, and a
+/// batch from any test running alongside would consume it. Tests of one
+/// binary run on parallel threads, so each such test holds this guard.
+#[cfg(test)]
+pub(crate) fn chaos_site_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,6 +476,7 @@ mod tests {
 
     #[test]
     fn batch_execution_completes_every_job_with_correct_predictions() {
+        let _gate = chaos_site_gate();
         let bundle = toy_bundle();
         let metrics = Arc::new(Metrics::new());
         let (batcher, thread) = Batcher::start(
@@ -505,6 +516,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs_no_job_stranded() {
+        let _gate = chaos_site_gate();
         let bundle = toy_bundle();
         let metrics = Arc::new(Metrics::new());
         // A long wait so jobs pile up behind the first batch.
@@ -547,6 +559,7 @@ mod tests {
 
     #[test]
     fn expired_jobs_complete_as_expired_not_stranded() {
+        let _gate = chaos_site_gate();
         let bundle = toy_bundle();
         let metrics = Arc::new(Metrics::new());
         let (batcher, thread) = Batcher::start(BatcherConfig::default(), metrics);
@@ -605,6 +618,7 @@ mod tests {
 
     #[test]
     fn mixed_model_batch_groups_per_bundle_and_counts_switches() {
+        let _gate = chaos_site_gate();
         let narrow = toy_bundle();
         let wide = wide_bundle();
         let metrics = Metrics::new();
@@ -653,6 +667,7 @@ mod tests {
 
     #[test]
     fn injected_panic_fails_jobs_cleanly_and_batcher_survives() {
+        let _gate = chaos_site_gate();
         let bundle = toy_bundle();
         let metrics = Arc::new(Metrics::new());
         let (batcher, thread) = Batcher::start(

@@ -392,10 +392,13 @@ impl ModelBundle {
     }
 
     /// The checksum of this bundle's canonical payload serialization —
-    /// bit-identical to the `checksum` field [`Self::save`] writes, so a
-    /// registry can report which artifact a served version corresponds
-    /// to. Computed on demand (one hashing pass, no payload text);
-    /// the registry caches it per version.
+    /// bit-identical to the `checksum` field [`Self::save`] writes.
+    /// Computed on demand (one hashing pass over the streamed payload, no
+    /// payload text) and never cached, since the fields are public. The
+    /// registry calls it only for bundles built in memory; a bundle read
+    /// from disk reports the checksum verified at load
+    /// ([`Self::load_verified`]), which is the same value for any file
+    /// this crate wrote.
     pub fn content_checksum(&self) -> Result<String, BundleError> {
         let mut fnv = FnvWriter::new();
         self.write_payload(&mut fnv)?;
@@ -417,6 +420,12 @@ impl ModelBundle {
     /// # Errors
     /// See [`BundleError`] — each failure mode maps to one variant.
     pub fn from_json(text: &str) -> Result<ModelBundle, BundleError> {
+        Self::from_json_verified(text).map(|(bundle, _)| bundle)
+    }
+
+    /// [`Self::from_json`], also returning the envelope checksum it just
+    /// verified.
+    fn from_json_verified(text: &str) -> Result<(ModelBundle, String), BundleError> {
         let root: Value =
             serde_json::from_str(text).map_err(|e| BundleError::Json(e.to_string()))?;
         let version = root
@@ -431,10 +440,15 @@ impl ModelBundle {
             .and_then(Value::as_str)
             .ok_or_else(|| BundleError::Envelope("missing string 'checksum'".into()))?
             .to_string();
-        let payload = root
-            .get("bundle")
-            .cloned()
-            .ok_or_else(|| BundleError::Envelope("missing object 'bundle'".into()))?;
+        // Move the payload out of the root (the first `bundle` entry,
+        // as `Value::get` would find) instead of cloning it.
+        let payload = match root {
+            Value::Map(entries) => {
+                entries.into_iter().find_map(|(k, v)| (k == "bundle").then_some(v))
+            }
+            _ => None,
+        }
+        .ok_or_else(|| BundleError::Envelope("missing object 'bundle'".into()))?;
         // Hash the canonical re-serialization as a byte stream instead of
         // materializing a second payload-sized string next to the parse
         // tree.
@@ -447,7 +461,7 @@ impl ModelBundle {
         let bundle: ModelBundle =
             serde_json::from_value(payload).map_err(|e| BundleError::Json(e.to_string()))?;
         bundle.validate()?;
-        Ok(bundle)
+        Ok((bundle, computed))
     }
 
     /// Writes the envelope to a file, streaming through a buffered
@@ -471,7 +485,22 @@ impl ModelBundle {
         Self::from_json(&std::fs::read_to_string(path)?)
     }
 
-    /// Cross-field consistency checks run after deserialization.
+    /// [`Self::load`], also returning the envelope checksum it just
+    /// verified, so a caller that records which artifact it loaded (the
+    /// registry) does not hash the payload a second time.
+    ///
+    /// # Errors
+    /// See [`BundleError`].
+    pub fn load_verified(path: impl AsRef<Path>) -> Result<(ModelBundle, String), BundleError> {
+        Self::from_json_verified(&std::fs::read_to_string(path)?)
+    }
+
+    /// Cross-field consistency checks run after deserialization: class
+    /// and item counts agree across the parts, and every class BST is
+    /// structurally sound over the discretizer's items
+    /// ([`BstcModel::check_structure`]), so a hand-edited payload with a
+    /// recomputed checksum is refused here rather than panicking in
+    /// lazy compilation or classify.
     fn validate(&self) -> Result<(), BundleError> {
         if self.class_names.is_empty() {
             return Err(BundleError::Invalid("bundle has zero classes".into()));
@@ -493,7 +522,7 @@ impl ModelBundle {
                 self.item_names.len()
             )));
         }
-        Ok(())
+        self.model.check_structure(self.discretizer.n_items()).map_err(BundleError::Invalid)
     }
 }
 
@@ -747,6 +776,35 @@ mod tests {
             declared.get("checksum").unwrap().as_str().unwrap(),
             b.content_checksum().unwrap()
         );
+    }
+
+    /// Wraps an edited payload in a fresh envelope whose checksum
+    /// matches it — what a hand edit that recomputes the hash produces.
+    fn reseal(payload: &str) -> String {
+        let mut fnv = FnvWriter::new();
+        std::io::Write::write_all(&mut fnv, payload.as_bytes()).unwrap();
+        format!(
+            "{{\"format_version\":{FORMAT_VERSION},\"checksum\":\"{}\",\"bundle\":{payload}}}",
+            fnv.finish()
+        )
+    }
+
+    #[test]
+    fn resealed_payload_with_an_out_of_range_item_id_is_invalid() {
+        let b = ModelBundle::train(&toy(), Provenance::new("toy", None)).unwrap();
+        let mut payload = Vec::new();
+        b.write_payload(&mut payload).unwrap();
+        let payload = String::from_utf8(payload).unwrap();
+        // The untouched payload resealed is the saved envelope itself.
+        let (_, checksum) = ModelBundle::from_json_verified(&reseal(&payload)).unwrap();
+        assert_eq!(checksum, b.content_checksum().unwrap());
+        // Prefix the first exclusion list's gap-hex with a huge id.
+        let tampered = payload.replacen("\"items\":\"", "\"items\":\"fffff", 1);
+        assert_ne!(tampered, payload);
+        match ModelBundle::from_json(&reseal(&tampered)) {
+            Err(BundleError::Invalid(msg)) => assert!(msg.contains("out of range"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
     }
 
     #[test]

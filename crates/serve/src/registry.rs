@@ -44,7 +44,10 @@ pub struct ModelVersion {
     /// Monotone per-name version number (`v1` on first load).
     pub version: u64,
     /// The envelope checksum of the bundle payload (`fnv1a64:<16hex>`),
-    /// identifying exactly which artifact this version was loaded from.
+    /// identifying exactly which artifact this version was loaded from:
+    /// for a bundle read from disk, the checksum verified at load; for
+    /// one registered from memory, [`ModelBundle::content_checksum`].
+    /// The two agree for every file [`ModelBundle::save`] writes.
     pub checksum: String,
     /// Where the artifact came from; per-model `/reload` re-reads it.
     pub source: Option<PathBuf>,
@@ -215,8 +218,9 @@ impl ModelRegistry {
         };
         let registry = ModelRegistry::new(default_name, max_resident, metrics);
         for (name, path) in names.into_iter().zip(paths) {
-            let bundle = ModelBundle::load(&path).map_err(RegistryError::Load)?;
-            registry.insert(&name, bundle, Some(path))?;
+            let (bundle, checksum) =
+                ModelBundle::load_verified(&path).map_err(RegistryError::Load)?;
+            registry.register(&name, bundle, checksum, Some(path));
         }
         Ok(registry)
     }
@@ -238,6 +242,18 @@ impl ModelRegistry {
             return Err(RegistryError::BadName(name.to_string()));
         }
         let checksum = bundle.content_checksum().map_err(RegistryError::Load)?;
+        Ok(self.register(name, bundle, checksum, source))
+    }
+
+    /// Stores `bundle` under an already-validated `name` at version 1,
+    /// with its already-known checksum.
+    fn register(
+        &self,
+        name: &str,
+        bundle: ModelBundle,
+        checksum: String,
+        source: Option<PathBuf>,
+    ) -> Arc<ModelVersion> {
         let version = Arc::new(ModelVersion {
             name: name.to_string(),
             version: 1,
@@ -249,7 +265,7 @@ impl ModelRegistry {
             name.to_string(),
             Arc::new(ModelState { current: RwLock::new(Arc::clone(&version)) }),
         );
-        Ok(version)
+        version
     }
 
     /// The name the legacy unnamed routes serve.
@@ -342,8 +358,10 @@ impl ModelRegistry {
                 ))))
             }
         };
-        let bundle = ModelBundle::load(&path).map_err(RegistryError::Load)?;
-        let checksum = bundle.content_checksum().map_err(RegistryError::Load)?;
+        // The loader hands back the envelope checksum it just verified;
+        // hashing the deserialized bundle again would cost more than the
+        // parse.
+        let (bundle, checksum) = ModelBundle::load_verified(&path).map_err(RegistryError::Load)?;
         let next = Arc::new(ModelVersion {
             name: name.to_string(),
             version: current.version + 1,
@@ -468,7 +486,9 @@ mod tests {
         let r = ModelRegistry::load_dir(&dir, None, 0, Arc::new(Metrics::new())).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.default_name(), "alpha", "lexicographic default");
-        assert_eq!(r.get("beta").unwrap().bundle.provenance.dataset, "ds-b");
+        let beta = r.get("beta").unwrap();
+        assert_eq!(beta.bundle.provenance.dataset, "ds-b");
+        assert_eq!(beta.checksum, beta.bundle.content_checksum().unwrap());
         let r = ModelRegistry::load_dir(&dir, Some("beta".into()), 0, Arc::new(Metrics::new()))
             .unwrap();
         assert_eq!(r.default_name(), "beta");
@@ -499,6 +519,7 @@ mod tests {
         let v2 = r.swap("m", None).unwrap();
         assert_eq!((v2.version, v2.bundle.provenance.dataset.as_str()), (2, "gen-2"));
         assert_ne!(v1.checksum, v2.checksum);
+        assert_eq!(v2.checksum, v2.bundle.content_checksum().unwrap(), "load-verified checksum");
 
         // A corrupt artifact fails the swap and the old version serves on.
         std::fs::write(&path, "{ not a bundle").unwrap();

@@ -1155,6 +1155,7 @@ mod tests {
 
     #[test]
     fn classify_routes_through_batcher_when_enabled() {
+        let _gate = crate::batcher::chaos_site_gate();
         let mut s = shared();
         let (batcher, thread) = Batcher::start(BatcherConfig::default(), Arc::clone(&s.metrics));
         s.batcher = Some(batcher);

@@ -180,6 +180,46 @@ fn deeply_nested_json_is_a_400_not_a_stack_overflow() {
 }
 
 #[test]
+fn a_body_of_short_strings_cannot_hold_the_worker() {
+    // JSON string scanning must be linear: a body just under the size
+    // cap made of ~64-byte strings is parsed (and refused) in well under
+    // a second, where a scan that re-validates the rest of the input per
+    // character would pin the only worker for hours.
+    let handle = boot();
+    let addr = handle.addr();
+    let element = format!("\"{}\",", "s".repeat(64));
+    let n = (serve::http::MAX_BODY_BYTES - 2) / element.len();
+    let mut body = String::with_capacity(n * element.len() + 2);
+    body.push('[');
+    for _ in 0..n {
+        body.push_str(&element);
+    }
+    body.pop();
+    body.push(']');
+    assert!(
+        body.len() > serve::http::MAX_BODY_BYTES - 128 && body.len() <= serve::http::MAX_BODY_BYTES
+    );
+
+    let started = std::time::Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // The budget covers a debug build on a slow host; the parse itself
+    // takes milliseconds in release.
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let head = format!(
+        "POST /classify HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).expect("write head");
+    stream.write_all(body.as_bytes()).expect("write body");
+    let status = read_status(&mut stream);
+    let elapsed = started.elapsed();
+    assert!((400..500).contains(&status), "expected a 4xx, got {status} after {elapsed:?}");
+    assert!(elapsed < Duration::from_secs(30), "took {elapsed:?}");
+    assert!(health_ok(addr), "worker still pinned after the string-heavy body");
+    handle.shutdown();
+}
+
+#[test]
 fn chunked_body_is_never_reparsed_as_a_second_request() {
     // The desync shape: a chunked POST whose decoded body is itself a
     // well-formed GET. The parser owns the chunk framing end to end, so

@@ -212,6 +212,64 @@ fn full_server_lifecycle_over_real_sockets() {
     );
 }
 
+/// Wraps a payload in an envelope whose checksum (FNV-1a 64 over the
+/// payload text) matches it — what a hand edit that recomputes the hash
+/// produces.
+fn reseal(payload: &str) -> String {
+    let hash = payload
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
+    format!(
+        "{{\"format_version\":{},\"checksum\":\"fnv1a64:{hash:016x}\",\"bundle\":{payload}}}",
+        serve::FORMAT_VERSION
+    )
+}
+
+#[test]
+fn resealed_bundle_with_a_bad_item_id_is_a_409_and_the_old_version_serves_on() {
+    let bundle_a = bundle(11, "dataset-a");
+    let path = tmp("resealed_bundle.json");
+    bundle_a.save(&path).unwrap();
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        bundle_path: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let handle = serve(config, bundle_a.clone()).unwrap();
+    let addr = handle.addr();
+
+    // Control: the untouched payload, resealed, reloads fine and reports
+    // the same checksum the in-memory bundle computes.
+    let envelope = bundle(13, "dataset-b").to_json().unwrap();
+    let payload = &envelope[envelope.find("\"bundle\":").unwrap() + 9..envelope.len() - 1];
+    std::fs::write(&path, reseal(payload)).unwrap();
+    let (status, body) = request(addr, "POST", "/reload", "");
+    assert_eq!(status, 200, "{body}");
+    let reloaded = json(&body);
+    let good_checksum = reloaded.get("checksum").unwrap().as_str().unwrap().to_string();
+    assert_eq!(good_checksum, bundle(13, "dataset-b").content_checksum().unwrap());
+
+    // The same payload with one exclusion-list item id pushed past the
+    // item universe: the checksum matches, the structure does not.
+    let tampered = payload.replacen("\"items\":\"", "\"items\":\"fffff", 1);
+    std::fs::write(&path, reseal(&tampered)).unwrap();
+    let (status, body) = request(addr, "POST", "/reload", "");
+    assert_eq!(status, 409, "{body}");
+    assert!(body.contains("out of range"), "{body}");
+
+    let (_, body) = request(addr, "GET", "/model", "");
+    let meta = json(&body);
+    assert_eq!(meta.get("version").unwrap().as_u64(), Some(2), "{body}");
+    assert_eq!(meta.get("checksum").unwrap().as_str(), Some(good_checksum.as_str()));
+    let row = dataset(11).row(0).to_vec();
+    let (status, body) =
+        request(addr, "POST", "/classify", &format!("{{\"values\":{}}}", fmt_row(&row)));
+    assert_eq!(status, 200, "the previous version keeps serving: {body}");
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 /// After shutdown the listener is gone; a racing connect may still be
 /// accepted by the OS backlog but must never get an HTTP answer.
 fn request_after_shutdown(addr: SocketAddr) -> bool {

@@ -325,12 +325,25 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next `"` or `\` in one
+            // step. Both stop bytes are ASCII and the input is a `&str`, so
+            // the run ends on a char boundary, and validating each run once
+            // keeps the whole scan linear in the string's length.
+            let start = self.pos;
+            self.pos = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| start + n);
+            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| err("invalid utf-8"))?;
+            out.push_str(run);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped on a backslash.
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| err("unterminated escape"))?;
                     self.pos += 1;
@@ -346,13 +359,15 @@ impl<'a> Parser<'a> {
                         b'u' => {
                             let first = self.hex4()?;
                             let code = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.eat_keyword("\\u") {
-                                    let low = self.hex4()?;
-                                    0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
-                                } else {
+                                // Surrogate pair: expect a \uXXXX low half.
+                                if !self.eat_keyword("\\u") {
                                     return Err(err("lone high surrogate"));
                                 }
+                                let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(err("high surrogate not followed by a low one"));
+                                }
+                                0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
                             } else {
                                 first
                             };
@@ -364,27 +379,20 @@ impl<'a> Parser<'a> {
                         other => return Err(err(format!("bad escape `\\{}`", other as char))),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| err("unterminated string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
                 None => return Err(err("unterminated string")),
             }
         }
     }
 
+    /// Reads exactly four hex digits (no sign, no shorter form).
     fn hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(err("truncated \\u escape"));
+        let digits =
+            self.bytes.get(self.pos..self.pos + 4).ok_or_else(|| err("truncated \\u escape"))?;
+        let mut v = 0;
+        for &d in digits {
+            let nibble = (d as char).to_digit(16).ok_or_else(|| err("bad \\u escape"))?;
+            v = v << 4 | nibble;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| err("bad \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -422,6 +430,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_scalars_and_nesting() {
@@ -470,5 +479,78 @@ mod tests {
         assert!(from_str::<Value>(&objects(MAX_DEPTH + 1)).is_err());
         // A megabyte of `[` is a parse error, not a stack overflow.
         assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
+    }
+
+    #[test]
+    fn surrogate_escapes_must_pair_up() {
+        let s: String = from_str(r#""\uD83D\uDE00""#).unwrap();
+        assert_eq!(s, "\u{1F600}");
+        // A high surrogate followed by an escape that is not a low one.
+        let e = from_str::<String>(r#""\uD800\u0041""#).unwrap_err();
+        assert!(e.to_string().contains("not followed by a low"), "{e}");
+        assert!(from_str::<String>(r#""\uD800""#).is_err(), "lone high surrogate");
+        assert!(from_str::<String>(r#""\uDC00""#).is_err(), "lone low surrogate");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(from_str::<String>(r#""\u0041\u00e9""#).unwrap(), "A\u{e9}");
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04g1""#, r#""\u041""#] {
+            assert!(from_str::<String>(bad).is_err(), "{bad} must not parse");
+        }
+    }
+
+    #[test]
+    fn string_runs_split_cleanly_around_escapes() {
+        assert_eq!(from_str::<String>(r#""""#).unwrap(), "");
+        assert_eq!(from_str::<String>(r#""é\nü€""#).unwrap(), "é\nü€");
+        assert_eq!(from_str::<String>(r#""\t😀\u00e9😀\\""#).unwrap(), "\t😀é😀\\");
+        assert_eq!(from_str::<String>(r#""ends in an escape\"""#).unwrap(), "ends in an escape\"");
+        let keyed: Value = from_str(r#"{"ké\"y":"v"}"#).unwrap();
+        assert_eq!(keyed.get("ké\"y").and_then(Value::as_str), Some("v"));
+        for unterminated in [r#""abc"#, r#""ab€c"#, r#""ab\"#, r#""ab\""#] {
+            let e = from_str::<String>(unterminated).unwrap_err();
+            assert!(e.to_string().contains("unterminated"), "{unterminated}: {e}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A quadratic scan takes minutes on this input.
+        let text = format!("[{}]", vec![format!("\"{}\"", "x".repeat(64)); 1 << 14].join(","));
+        let started = std::time::Instant::now();
+        let parsed: Vec<String> = from_str(&text).unwrap();
+        assert_eq!(parsed.len(), 1 << 14);
+        let big: String = from_str(&format!("\"{}\"", "y".repeat(1 << 20))).unwrap();
+        assert_eq!(big.len(), 1 << 20);
+        assert!(started.elapsed() < std::time::Duration::from_secs(10), "{:?}", started.elapsed());
+    }
+
+    /// Arbitrary strings drawn from code-point classes that stress the
+    /// writer's escape table and the reader's run splitting: ASCII
+    /// (controls, `"` and `\` included), the rest of the BMP, and the
+    /// astral planes.
+    fn arbitrary_string() -> impl Strategy<Value = String> {
+        prop::collection::vec((0u32..3, 0u32..0x11_0000), 0..48).prop_map(|points| {
+            points
+                .into_iter()
+                .map(|(class, x)| match class {
+                    0 => char::from(x as u8 & 0x7f),
+                    1 => char::from_u32(x % 0x1_0000).unwrap_or('\u{fffd}'),
+                    _ => char::from_u32(x).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn to_string_then_from_str_round_trips_strings(s in arbitrary_string()) {
+            let text = to_string(&s).unwrap();
+            prop_assert_eq!(from_str::<String>(&text).unwrap(), s.clone());
+            let keyed = to_string(&json!({"k": s.clone()})).unwrap();
+            let back: Value = from_str(&keyed).unwrap();
+            prop_assert_eq!(back.get("k").and_then(Value::as_str), Some(s.as_str()));
+        }
     }
 }
