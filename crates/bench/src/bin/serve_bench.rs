@@ -5,7 +5,7 @@
 //! ```text
 //! serve_bench [--addr HOST:PORT] [--requests N] [--concurrency C]
 //!             [--batch B] [--seed S] [--scale K] [--json]
-//!             [--max-batch N] [--batch-wait-us US] [--model NAME]
+//!             [--max-batch N] [--model NAME]
 //!             [--overload | --compare-batching | --shadow-overhead
 //!              | --idle-connections N]
 //! ```
@@ -26,17 +26,18 @@
 //! server p99 is a measurement artifact — the report flags it.
 //!
 //! `--overload` (self-contained only) measures behavior *past* capacity:
-//! the server boots with a deliberately tiny pool (2 workers, queue depth
-//! 4) and the load uses one-shot `connection: close` requests so every
-//! request passes through admission. The report then covers the shed rate,
-//! that every 503 carried `Retry-After`, and how far saturation pushed the
-//! p99 of the *accepted* requests versus an unloaded calibration run.
+//! the server boots with a deliberately tiny compute stage (2 threads,
+//! queue depth 2) and the load uses one-shot `connection: close` requests
+//! so every request passes through admission. The report then covers the
+//! shed rate, that every 503 carried `Retry-After`, and how far
+//! saturation pushed the p99 of the *accepted* requests versus an
+//! unloaded calibration run (taken after a discarded warm-up).
 //!
 //! `--compare-batching` (self-contained only) measures the model-pass
-//! amortization win: the same steady load is driven twice, once against
-//! a server with cross-connection micro-batching disabled (`max_batch
-//! 0`) and once with it enabled, and the report carries both throughputs
-//! plus their ratio (`batched_speedup`).
+//! amortization win: the same steady load is driven twice at the default
+//! thread count, once with coalescing off (`max_batch 1`) and once with
+//! `--max-batch N`, so any coalescing comes from backlog; the report
+//! carries both throughputs plus their ratio (`batched_speedup`).
 //!
 //! `--model NAME` drives `POST /v1/models/NAME/classify` instead of the
 //! legacy route — against an external fleet server, the name must be
@@ -99,9 +100,9 @@ struct Report {
     /// closed-loop client under-sampled slow periods (coordinated
     /// omission), so trust the server percentiles over the client ones.
     coordinated_omission_skew: bool,
-    /// `--compare-batching` only: samples/sec with `max_batch 0`.
+    /// `--compare-batching` only: samples/sec with `max_batch 1`.
     unbatched_samples_per_sec: f64,
-    /// `--compare-batching` only: samples/sec with batching enabled.
+    /// `--compare-batching` only: samples/sec with `--max-batch N`.
     batched_samples_per_sec: f64,
     /// `--compare-batching` only: batched over unbatched throughput.
     batched_speedup: f64,
@@ -165,11 +166,10 @@ fn main() {
     let idle_connections: usize = parse_flag(&args, "--idle-connections", 0);
     let model = flag(&args, "--model");
     let max_batch: usize = parse_flag(&args, "--max-batch", ServerConfig::default().max_batch);
-    let batch_wait = Duration::from_micros(parse_flag(
-        &args,
-        "--batch-wait-us",
-        ServerConfig::default().batch_wait.as_micros() as u64,
-    ));
+    if max_batch == 0 {
+        eprintln!("error: --max-batch must be at least 1");
+        std::process::exit(2);
+    }
     if (overload || compare || shadow_overhead || idle_connections > 0)
         && flag(&args, "--addr").is_some()
     {
@@ -245,13 +245,13 @@ fn main() {
 
     if idle_connections > 0 {
         // The soak claim: an idle keep-alive connection costs an fd and
-        // a parser state, never a thread. A fixed worker pool makes the
+        // a parser state, never a thread. A fixed compute stage makes the
         // thread assertion sharp: everything beyond WORKERS + the fixed
-        // service threads (event loop, supervisor, batcher) would mean
-        // connections are holding threads again.
+        // service threads (the event loop) would mean connections are
+        // holding threads again.
         const WORKERS: usize = 4;
-        // Event loop + supervisor + batcher + main, with slack for the
-        // runtime's own bookkeeping threads.
+        // Event loop + main, with slack for the kernel's worker pool and
+        // the runtime's own bookkeeping threads.
         const SERVICE_THREAD_SLACK: u64 = 8;
         let threads_before = proc_status("Threads:").unwrap_or(0);
         // Self-contained: client and server share this process, so each
@@ -272,14 +272,14 @@ fn main() {
             threads: WORKERS,
             max_connections: idle_connections + 1024,
             max_batch,
-            batch_wait,
             default_model: model.clone(),
             ..ServerConfig::default()
         });
         let addr = handle.addr().to_string();
         eprintln!(
             "serve_bench: IDLE-SOAK — {idle_connections} idle connections, {requests} live \
-             requests x batch {batch}, concurrency {concurrency}, {WORKERS} workers, target {addr}"
+             requests x batch {batch}, concurrency {concurrency}, {WORKERS} compute threads, \
+             target {addr}"
         );
 
         // Baseline: the same live load with zero idle connections.
@@ -328,7 +328,7 @@ fn main() {
         {
             eprintln!(
                 "error: {thread_delta} threads added for {idle_connections} idle connections — \
-                 connections are holding threads (allowed: {WORKERS} workers + \
+                 connections are holding threads (allowed: {WORKERS} compute threads + \
                  {SERVICE_THREAD_SLACK})"
             );
             std::process::exit(1);
@@ -399,13 +399,12 @@ fn main() {
     }
 
     if overload {
-        // A deliberately tiny pool and queue so a modest client count
-        // drives the server well past capacity.
+        // A deliberately tiny compute stage and queue so a modest client
+        // count drives the server well past capacity.
         let handle = boot(ServerConfig {
             threads: 2,
             queue_depth: 2,
             max_batch,
-            batch_wait,
             default_model: model.clone(),
             ..ServerConfig::default()
         });
@@ -424,23 +423,21 @@ fn main() {
     }
 
     if compare {
-        // As many workers as clients so concurrent requests can be
-        // in-flight together — that concurrency is what the batcher
-        // coalesces. Identical pool for both runs; only batching differs.
-        let threads = concurrency.max(2);
+        // The default thread count for both runs: with more clients than
+        // compute threads, requests back up in the queue, and that
+        // backlog is what a compute thread coalesces. Only max_batch
+        // differs between the runs.
         let mk = |mb: usize| ServerConfig {
-            threads,
             max_batch: mb,
-            batch_wait,
             default_model: model.clone(),
             ..ServerConfig::default()
         };
         eprintln!(
             "serve_bench: COMPARE — {requests} requests x batch {batch}, concurrency \
-             {concurrency}, {threads} workers, max-batch {max_batch}"
+             {concurrency}, default compute threads, max-batch 1 vs {max_batch}"
         );
         let warmup = (requests / 10).clamp(1, 200);
-        let handle = boot(mk(0));
+        let handle = boot(mk(1));
         let addr = handle.addr().to_string();
         run_load(&addr, classify_path, &bodies, warmup, concurrency);
         let (unbatched, elapsed_u) = run_load(&addr, classify_path, &bodies, requests, concurrency);
@@ -448,7 +445,7 @@ fn main() {
         let unbatched_sps = (unbatched.len() * batch) as f64 / elapsed_u.as_secs_f64();
         eprintln!("unbatched: {unbatched_sps:.1} samples/s in {:.2}s", elapsed_u.as_secs_f64());
 
-        let handle = boot(mk(max_batch.max(1)));
+        let handle = boot(mk(max_batch));
         let addr = handle.addr().to_string();
         run_load(&addr, classify_path, &bodies, warmup, concurrency);
         let (batched, elapsed_b) = run_load(&addr, classify_path, &bodies, requests, concurrency);
@@ -528,7 +525,6 @@ fn main() {
             let handle = serve::serve_models(ServerConfig {
                 threads,
                 max_batch,
-                batch_wait,
                 models_dir: Some(dir.clone()),
                 default_model: Some("primary".into()),
                 shadows: vec![serve::ShadowSpec::parse(&format!("primary=candidate:{percent}"))
@@ -593,7 +589,6 @@ fn main() {
         None => {
             let handle = boot(ServerConfig {
                 max_batch,
-                batch_wait,
                 default_model: model.clone(),
                 ..ServerConfig::default()
             });
@@ -831,12 +826,16 @@ fn run_overload(
     json: bool,
 ) {
     // -- calibration: sequential one-shots against the idle server ------
+    // The first requests pay cold caches, lazy allocation and connection
+    // setup; a discarded warm-up keeps that out of the unloaded p99.
     let calibration = 500.min(requests.max(1));
+    let warmup = (calibration / 5).max(1);
     let mut calib_us: Vec<u64> = Vec::with_capacity(calibration);
-    for i in 0..calibration {
+    for i in 0..warmup + calibration {
         let body = &bodies[i % bodies.len()];
         let t0 = Instant::now();
         match one_shot(addr, path, body) {
+            Some((200, _)) if i < warmup => {}
             Some((200, _)) => calib_us.push(t0.elapsed().as_micros() as u64),
             Some((status, _)) => {
                 eprintln!("error: calibration request returned HTTP {status}");

@@ -169,14 +169,7 @@ impl BstcModel {
 
     /// BSTC (Algorithm 6): the smallest class index with maximal value.
     pub fn classify(&self, query: &BitSet) -> ClassId {
-        let values = self.class_values(query);
-        let mut best = 0;
-        for (i, &v) in values.iter().enumerate().skip(1) {
-            if v > values[best] {
-                best = i;
-            }
-        }
-        best
+        select_class(&self.class_values(query))
     }
 
     /// Classifies a batch of queries, fanned out over the
@@ -217,6 +210,20 @@ impl BstcModel {
         out.sort_by(|a, b| b.satisfaction.total_cmp(&a.satisfaction));
         out
     }
+}
+
+/// BSTC class selection (Algorithm 6) over already-computed class values:
+/// the smallest class index with maximal value. Every BSTC classify path —
+/// reference, compiled, batched and served — selects through this one
+/// function, so they agree on ties by construction.
+pub fn select_class(values: &[f64]) -> ClassId {
+    let mut best = 0;
+    for (i, &v) in values.iter().enumerate().skip(1) {
+        if v > values[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 /// Normalized gap between the highest and second-highest entries of a

@@ -37,7 +37,9 @@
 
 use crate::bar::Sign;
 use crate::bst::Bst;
-use crate::classify::{confidence_gap_of, Arithmetization, BstcModel, CellExplanation};
+use crate::classify::{
+    confidence_gap_of, select_class, Arithmetization, BstcModel, CellExplanation,
+};
 use crate::pool::{self, WorkerPool};
 use microarray::{BitSet, ClassId, SampleId};
 
@@ -810,14 +812,7 @@ impl CompiledModel {
     /// Allocation-free in the steady state.
     pub fn classify(&self, query: &BitSet, scratch: &mut Scratch) -> ClassId {
         self.class_values_into(query, scratch);
-        let values = &scratch.values;
-        let mut best = 0;
-        for (i, &v) in values.iter().enumerate().skip(1) {
-            if v > values[best] {
-                best = i;
-            }
-        }
-        best
+        select_class(&scratch.values)
     }
 
     /// The §8 confidence heuristic on the compiled path (single-pass
@@ -882,16 +877,7 @@ impl CompiledModel {
     ) {
         self.class_values_batch_into(queries, scratch);
         out.clear();
-        for qi in 0..queries.len() {
-            let values = scratch.values_of(qi);
-            let mut best = 0;
-            for (i, &v) in values.iter().enumerate().skip(1) {
-                if v > values[best] {
-                    best = i;
-                }
-            }
-            out.push(best);
-        }
+        out.extend((0..queries.len()).map(|qi| select_class(scratch.values_of(qi))));
     }
 
     /// Total bytes of the compiled mask tables across every class — the
@@ -1003,16 +989,7 @@ impl CompiledModel {
     ) {
         self.class_values_batch_par_into(queries, pool, scratch);
         out.clear();
-        for qi in 0..queries.len() {
-            let values = scratch.values_of(qi);
-            let mut best = 0;
-            for (i, &v) in values.iter().enumerate().skip(1) {
-                if v > values[best] {
-                    best = i;
-                }
-            }
-            out.push(best);
-        }
+        out.extend((0..queries.len()).map(|qi| select_class(scratch.values_of(qi))));
     }
 
     /// Classifies a batch with the blocked batch-sweep kernel, fanned out

@@ -49,7 +49,7 @@ pub mod rule_group;
 
 pub use bar::{display_bar, Bar, BarAntecedent, ExclusionClause, Sign};
 pub use bst::{Bst, BstStats, Cell, ColumnLists, ExclusionList, ExclusionListRef, ListArena};
-pub use classify::{confidence_gap_of, Arithmetization, BstcModel, CellExplanation};
+pub use classify::{confidence_gap_of, select_class, Arithmetization, BstcModel, CellExplanation};
 pub use classify_mc2::{CompiledMc2Classifier, Mc2Classifier};
 pub use compiled::{BatchScratch, CompiledBst, CompiledModel, ParBatchScratch, Scratch};
 pub use mine::{mine_topk, mine_topk_per_sample, Mc2Bar};

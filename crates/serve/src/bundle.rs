@@ -296,8 +296,8 @@ impl ModelBundle {
     }
 
     /// [`ModelBundle::classify_row`] with caller-owned scratch memory —
-    /// the serve worker loop keeps one [`Scratch`] per thread so the
-    /// BSTCE evaluation underneath each request allocates nothing.
+    /// the shadow executor keeps one [`Scratch`] per thread so the
+    /// BSTCE evaluation underneath each replay allocates nothing.
     pub fn classify_row_with(
         &self,
         row: &[f64],
@@ -310,7 +310,7 @@ impl ModelBundle {
 
     /// Validates and binarizes one raw expression vector into its boolean
     /// item set — the parse half of [`ModelBundle::classify_row_with`],
-    /// split out so the batching stage can binarize on worker threads and
+    /// split out so compute threads can binarize each request and
     /// hand ready-made queries to the shared batch kernel.
     ///
     /// # Errors
@@ -327,12 +327,7 @@ impl ModelBundle {
     /// (argmax ties break to the smallest class index, matching the
     /// reference classifier).
     pub fn prediction_from_values(&self, values: &[f64]) -> Prediction {
-        let mut class = 0;
-        for (i, &v) in values.iter().enumerate().skip(1) {
-            if v > values[class] {
-                class = i;
-            }
-        }
+        let class = bstc::select_class(values);
         Prediction {
             class,
             label: self.class_names[class].clone(),

@@ -3,7 +3,7 @@
 //! A level-triggered readiness loop ([`EventLoop::run`]) accepts
 //! connections, feeds whatever bytes each socket has into that
 //! connection's incremental [`RequestParser`], and hands only *fully
-//! parsed* requests to the worker pool over the bounded queue. Workers
+//! parsed* requests to the compute threads over the bounded queue. They
 //! are pure compute — they never touch a socket — and deliver finished
 //! responses back through [`Completions`] plus a self-pipe wake. The
 //! loop then streams each response out with nonblocking writes,
@@ -78,7 +78,7 @@ pub(crate) struct LoopConfig {
     pub chunk_threshold: usize,
 }
 
-/// A fully parsed request handed to the worker pool.
+/// A fully parsed request handed to the compute threads.
 pub(crate) struct WorkItem {
     /// Slab index of the owning connection.
     pub token: usize,
@@ -87,9 +87,11 @@ pub(crate) struct WorkItem {
     pub request: Request,
     /// When the request's first byte arrived (latency accounting).
     pub started: Instant,
+    /// When the loop queued it (the `bstc_batch_wait_us` span).
+    pub dispatched: Instant,
 }
 
-/// A finished response traveling back from a worker to the loop.
+/// A finished response traveling back from a compute thread to the loop.
 pub(crate) struct Done {
     pub token: usize,
     pub gen: u64,
@@ -97,7 +99,7 @@ pub(crate) struct Done {
     pub keep_alive: bool,
 }
 
-/// Worker → loop completion mailbox: a mutexed vector plus the wake
+/// Compute → loop completion mailbox: a mutexed vector plus the wake
 /// pipe, so a push is two syscall-free moves and one pipe write.
 pub(crate) struct Completions {
     items: Mutex<Vec<Done>>,
@@ -120,7 +122,7 @@ impl Completions {
         self.waker.wake();
     }
 
-    fn drain(&self) -> Vec<Done> {
+    pub fn drain(&self) -> Vec<Done> {
         std::mem::take(&mut *self.items.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
@@ -247,7 +249,7 @@ impl Writer {
 enum ConnState {
     /// Feeding socket bytes into the parser.
     Reading,
-    /// A request is with the worker pool; the loop waits for its [`Done`].
+    /// A request is with the compute threads; the loop waits for its [`Done`].
     Dispatched,
     /// Streaming a response out.
     Writing(Writer),
@@ -479,7 +481,7 @@ impl EventLoop {
             ConnState::Dispatched => {
                 if ev.hangup && conn.registered {
                     // Level-triggered RDHUP would refire every wait while
-                    // the worker computes; drop the registration and
+                    // the request computes; drop the registration and
                     // re-register when the response is ready.
                     let _ = self.poller.deregister(conn.stream.as_raw_fd());
                     conn.registered = false;
@@ -583,7 +585,8 @@ impl EventLoop {
     fn dispatch(&mut self, conn: &mut Conn, t: usize, request: Request) {
         let started = conn.started_at.take().unwrap_or_else(Instant::now);
         self.disarm(conn);
-        let item = WorkItem { token: t, gen: conn.gen, request, started };
+        let item =
+            WorkItem { token: t, gen: conn.gen, request, started, dispatched: Instant::now() };
         match self.shared.queue.push(item) {
             Ok(()) => {
                 if !conn.accounted {
@@ -782,7 +785,7 @@ impl EventLoop {
         let fd = conn.stream.as_raw_fd();
         if !conn.registered {
             if matches!(conn.state, ConnState::Dispatched) {
-                // Deregistered on hangup while the worker computes;
+                // Deregistered on hangup while the request computes;
                 // re-registers when the completion arrives.
             } else if self.poller.register(fd, t as u64, want).is_ok() {
                 conn.registered = true;

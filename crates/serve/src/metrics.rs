@@ -59,8 +59,8 @@ pub struct Metrics {
     /// Connections answered `503 overloaded` because the hand-off queue
     /// was full.
     conns_shed: AtomicU64,
-    /// Connections a worker claimed from the queue (every accepted
-    /// connection ends up exactly once in `shed` or `handled`).
+    /// Connections whose first request was dispatched to compute (every
+    /// accepted connection ends up exactly once in `shed` or `handled`).
     conns_handled: AtomicU64,
     /// Gauge: connections currently registered with the event loop. A
     /// nonzero value after traffic has fully drained means a leaked
@@ -68,36 +68,32 @@ pub struct Metrics {
     conns_open: AtomicU64,
     /// Handler panics converted into 500 responses by `catch_unwind`.
     panics_caught: AtomicU64,
-    /// Dead workers replaced by the supervisor.
-    workers_respawned: AtomicU64,
     /// Requests that hit their wall-clock deadline (408s).
     request_timeouts: AtomicU64,
-    /// Gauge: workers currently alive.
+    /// Gauge: compute threads currently alive.
     workers_alive: AtomicU64,
-    /// Gauge: pool size the server was configured with.
+    /// Gauge: compute threads the server was configured with.
     workers_configured: AtomicU64,
     /// `/classify` *handler* latency (parse + classify, excluding
     /// request read and response write) — the paper-relevant number.
     classify_latency: Histogram,
-    /// Batch executions run by the batcher thread.
+    /// Kernel executions: drained batches holding at least one classify.
     batches_executed: AtomicU64,
-    /// Jobs workers successfully submitted to the batcher queue.
+    /// Decoded classify jobs handed to a kernel execution.
     batch_jobs_submitted: AtomicU64,
-    /// Submitted jobs whose completion the worker resolved (answer,
-    /// expiry, timeout, or disconnect — a clean ledger: in steady state
-    /// `submitted == completed`, so a gap means a stranded job).
+    /// Submitted jobs that received a response (answer or 500 after a
+    /// kernel panic — a clean ledger: in steady state `submitted ==
+    /// completed`, so a gap means a stranded job).
     batch_jobs_completed: AtomicU64,
-    /// Submissions bounced by a full batcher queue and classified inline
-    /// on the worker instead.
-    batch_inline_fallbacks: AtomicU64,
-    /// Batch executions that panicked (isolated; member jobs answered
-    /// 500, the batcher thread survived).
+    /// Kernel groups that panicked (isolated; member jobs answered 500,
+    /// the compute thread survived).
     batch_panics: AtomicU64,
-    /// Jobs coalesced per batch execution (cumulative — the amortization
+    /// Classify jobs per kernel execution (cumulative — the amortization
     /// factor over the whole run).
     batch_size: Histogram,
-    /// Time jobs spent queued before their batch executed, microseconds
-    /// (windowed: the batching latency tax under *current* load).
+    /// Time requests spent queued between dispatch and compute-thread
+    /// pickup, microseconds (windowed: the queueing tax under *current*
+    /// load).
     batch_wait_us: WindowedHistogram,
     /// Bundle-group switches inside batch executions: how often the
     /// batch kernel changed models within one coalesced batch (the cost
@@ -203,7 +199,7 @@ impl Metrics {
         self.conns_shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one connection claimed by a worker.
+    /// Records one connection whose first request reached compute.
     pub fn record_conn_handled(&self) {
         self.conns_handled.fetch_add(1, Ordering::Relaxed);
     }
@@ -218,14 +214,14 @@ impl Metrics {
         self.panics_caught.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one dead worker replaced by the supervisor.
-    pub fn record_worker_respawned(&self) {
-        self.workers_respawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sets the live-worker gauge.
+    /// Sets the live compute-thread gauge.
     pub fn set_workers_alive(&self, n: u64) {
         self.workers_alive.store(n, Ordering::Relaxed);
+    }
+
+    /// Records one compute thread exiting (decrements the live gauge).
+    pub fn record_worker_exit(&self) {
+        self.workers_alive.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Sets the configured pool-size gauge.
@@ -233,33 +229,28 @@ impl Metrics {
         self.workers_configured.store(n, Ordering::Relaxed);
     }
 
-    /// Records one batch execution of `size` coalesced jobs.
+    /// Records one kernel execution of `size` coalesced classify jobs.
     pub fn record_batch(&self, size: u64) {
         self.batches_executed.fetch_add(1, Ordering::Relaxed);
         self.batch_size.record(size);
     }
 
-    /// Records how long one job waited in the batcher queue.
+    /// Records how long one request waited between dispatch and pickup.
     pub fn record_batch_wait_us(&self, us: u64) {
         self.batch_wait_us.record(us);
     }
 
-    /// Records one job submitted to the batcher queue.
-    pub fn record_batch_job_submitted(&self) {
-        self.batch_jobs_submitted.fetch_add(1, Ordering::Relaxed);
+    /// Records `n` classify jobs handed to one kernel execution.
+    pub fn record_batch_jobs_submitted(&self, n: u64) {
+        self.batch_jobs_submitted.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one submitted job whose completion the worker resolved.
+    /// Records one submitted job that received its response.
     pub fn record_batch_job_completed(&self) {
         self.batch_jobs_completed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one submission bounced to the inline path.
-    pub fn record_batch_inline_fallback(&self) {
-        self.batch_inline_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one isolated batch-execution panic.
+    /// Records one isolated kernel-group panic.
     pub fn record_batch_panic(&self) {
         self.batch_panics.fetch_add(1, Ordering::Relaxed);
     }
@@ -307,7 +298,6 @@ impl Metrics {
             conns_handled: self.conns_handled.load(Ordering::Relaxed),
             conns_open: self.conns_open.load(Ordering::Relaxed),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
             workers_configured: self.workers_configured.load(Ordering::Relaxed),
             request_timeouts: self.request_timeouts.load(Ordering::Relaxed),
@@ -317,7 +307,6 @@ impl Metrics {
             batches_executed: self.batches_executed.load(Ordering::Relaxed),
             batch_jobs_submitted: self.batch_jobs_submitted.load(Ordering::Relaxed),
             batch_jobs_completed: self.batch_jobs_completed.load(Ordering::Relaxed),
-            batch_inline_fallbacks: self.batch_inline_fallbacks.load(Ordering::Relaxed),
             batch_panics: self.batch_panics.load(Ordering::Relaxed),
             batch_model_switches: self.batch_model_switches.load(Ordering::Relaxed),
             models_resident: self.models_resident.load(Ordering::Relaxed),
@@ -403,11 +392,6 @@ impl Metrics {
         );
         let _ = writeln!(
             out,
-            "# TYPE bstc_workers_respawned_total counter\nbstc_workers_respawned_total {}",
-            self.workers_respawned.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
             "# TYPE bstc_request_timeouts_total counter\nbstc_request_timeouts_total {}",
             self.request_timeouts.load(Ordering::Relaxed)
         );
@@ -441,11 +425,9 @@ impl Metrics {
             self.batches_executed.load(Ordering::Relaxed)
         );
         out.push_str("# TYPE bstc_batch_jobs_total counter\n");
-        for (state, counter) in [
-            ("submitted", &self.batch_jobs_submitted),
-            ("completed", &self.batch_jobs_completed),
-            ("inline_fallback", &self.batch_inline_fallbacks),
-        ] {
+        for (state, counter) in
+            [("submitted", &self.batch_jobs_submitted), ("completed", &self.batch_jobs_completed)]
+        {
             let _ = writeln!(
                 out,
                 "bstc_batch_jobs_total{{state=\"{state}\"}} {}",
@@ -507,17 +489,15 @@ pub struct MetricsSnapshot {
     pub conns_accepted: u64,
     /// Connections answered `503 overloaded` at admission.
     pub conns_shed: u64,
-    /// Connections claimed (and eventually finished) by a worker.
+    /// Connections whose first request reached compute.
     pub conns_handled: u64,
     /// Connections currently registered with the event loop (gauge).
     pub conns_open: u64,
     /// Handler panics isolated into 500s.
     pub panics_caught: u64,
-    /// Dead workers replaced by the supervisor.
-    pub workers_respawned: u64,
-    /// Workers currently alive.
+    /// Compute threads currently alive.
     pub workers_alive: u64,
-    /// Configured pool size.
+    /// Configured compute threads.
     pub workers_configured: u64,
     /// Requests that hit their wall-clock deadline.
     pub request_timeouts: u64,
@@ -527,15 +507,13 @@ pub struct MetricsSnapshot {
     pub reload_failures: u64,
     /// Expression vectors classified.
     pub samples_classified: u64,
-    /// Batch executions run by the batcher thread.
+    /// Kernel executions (drained batches holding a classify).
     pub batches_executed: u64,
-    /// Jobs submitted to the batcher queue.
+    /// Classify jobs handed to a kernel execution.
     pub batch_jobs_submitted: u64,
-    /// Submitted jobs whose completion the worker resolved.
+    /// Submitted jobs that received their response.
     pub batch_jobs_completed: u64,
-    /// Submissions bounced to the inline path.
-    pub batch_inline_fallbacks: u64,
-    /// Isolated batch-execution panics.
+    /// Isolated kernel-group panics.
     pub batch_panics: u64,
     /// Model switches inside batch executions.
     pub batch_model_switches: u64,
@@ -612,6 +590,7 @@ mod tests {
         let m = Metrics::new();
         m.set_workers_configured(4);
         m.set_workers_alive(4);
+        m.record_worker_exit();
         for _ in 0..5 {
             m.record_conn_accepted();
         }
@@ -620,7 +599,6 @@ mod tests {
             m.record_conn_handled();
         }
         m.record_panic_caught();
-        m.record_worker_respawned();
         m.record_reload_failure();
         m.record_request("/classify", 408);
         let text = m.render();
@@ -628,10 +606,9 @@ mod tests {
         assert!(text.contains("bstc_connections_total{event=\"shed\"} 1"), "{text}");
         assert!(text.contains("bstc_connections_total{event=\"handled\"} 4"), "{text}");
         assert!(text.contains("bstc_panics_caught_total 1"), "{text}");
-        assert!(text.contains("bstc_workers_respawned_total 1"), "{text}");
         assert!(text.contains("bstc_model_reload_failures_total 1"), "{text}");
         assert!(text.contains("bstc_request_timeouts_total 1"), "{text}");
-        assert!(text.contains("bstc_workers{state=\"alive\"} 4"), "{text}");
+        assert!(text.contains("bstc_workers{state=\"alive\"} 3"), "{text}");
         assert!(text.contains("bstc_workers{state=\"configured\"} 4"), "{text}");
         let snap = m.snapshot();
         assert_eq!(snap.conns_accepted, snap.conns_handled + snap.conns_shed);
@@ -645,17 +622,15 @@ mod tests {
         m.record_batch(4);
         m.record_batch(1);
         m.record_batch_wait_us(150);
+        m.record_batch_jobs_submitted(5);
         for _ in 0..5 {
-            m.record_batch_job_submitted();
             m.record_batch_job_completed();
         }
-        m.record_batch_inline_fallback();
         m.record_batch_panic();
         let text = m.render();
         assert!(text.contains("bstc_batches_total 2"), "{text}");
         assert!(text.contains("bstc_batch_jobs_total{state=\"submitted\"} 5"), "{text}");
         assert!(text.contains("bstc_batch_jobs_total{state=\"completed\"} 5"), "{text}");
-        assert!(text.contains("bstc_batch_jobs_total{state=\"inline_fallback\"} 1"), "{text}");
         assert!(text.contains("bstc_batch_panics_total 1"), "{text}");
         assert!(text.contains("bstc_batch_size_count 2"), "{text}");
         assert!(text.contains("bstc_batch_size_sum 5"), "{text}");
@@ -663,7 +638,6 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.batch_jobs_submitted, snap.batch_jobs_completed);
         assert_eq!(snap.batches_executed, 2);
-        assert_eq!(snap.batch_inline_fallbacks, 1);
         assert_eq!(snap.batch_panics, 1);
     }
 

@@ -7,8 +7,8 @@
 //! shadowing ranks them on the *actual* traffic distribution, which for
 //! gene-expression classifiers is exactly where quantization and
 //! cut-point drift bite. The primary's response is never delayed: the
-//! worker answers the client first and only then enqueues a
-//! [`ShadowJob`] on a bounded queue; a dedicated shadow thread replays
+//! compute thread only enqueues a [`ShadowJob`] on a bounded
+//! drop-on-full queue; a dedicated shadow thread replays
 //! the raw rows through the candidate bundle (its own discretizer, its
 //! own compiled form) and compares predicted classes row by row.
 //!

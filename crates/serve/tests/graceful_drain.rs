@@ -5,8 +5,9 @@
 //! open-connection gauge at zero.
 //!
 //! The in-flight window is made deterministic without fault injection:
-//! a long `batch_wait` parks the dispatched request in the batcher's
-//! coalescing window, so shutdown reliably begins while it is pending.
+//! the in-flight client holds back the last byte of its request body
+//! until the drain has begun (observed as the idle connection closing),
+//! then sends it.
 
 use serve::{serve, ModelBundle, Provenance, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -23,10 +24,6 @@ fn drain_finishes_in_flight_work_and_refuses_new_connections() {
     let handle = serve(
         ServerConfig {
             threads: 2,
-            // Park lone jobs in the batcher long enough that shutdown
-            // reliably starts while this test's request is in flight.
-            batch_wait: Duration::from_millis(400),
-            max_batch: 64,
             drain_timeout: Duration::from_secs(10),
             ..ServerConfig::default()
         },
@@ -35,37 +32,41 @@ fn drain_finishes_in_flight_work_and_refuses_new_connections() {
     .unwrap();
     let addr = handle.addr();
 
-    // Client A: a keep-alive request that will be dispatched and then
-    // sit in the batch-coalescing window when the drain begins.
+    // Client A: a keep-alive request sent all but its last body byte,
+    // so it is mid-read when the drain begins.
     let mut in_flight = TcpStream::connect(addr).expect("connect");
     in_flight.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let head =
         format!("POST /classify HTTP/1.1\r\nhost: drain\r\ncontent-length: {}\r\n\r\n", body.len());
+    let (body_start, last_byte) = body.as_bytes().split_at(body.len() - 1);
     in_flight.write_all(head.as_bytes()).unwrap();
-    in_flight.write_all(body.as_bytes()).unwrap();
+    in_flight.write_all(body_start).unwrap();
 
     // Client B: idle keep-alive connection with nothing written — the
     // drain must close it immediately rather than wait it out.
     let mut idle = TcpStream::connect(addr).expect("connect");
     idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
-    // Give the loop time to parse and dispatch client A.
+    // Give the loop time to read client A's partial request.
     std::thread::sleep(Duration::from_millis(100));
 
     let drainer = std::thread::spawn(move || handle.shutdown());
-    std::thread::sleep(Duration::from_millis(150));
 
-    // New connections are refused cleanly while draining: either the
-    // connect itself fails (listener gone) or the socket never receives
-    // an HTTP answer — the OS backlog may accept, the server must not.
-    assert!(connect_is_refused(addr), "server answered a connection made after drain began");
-
-    // The idle connection is closed without a fabricated response.
+    // The idle connection is closed without a fabricated response. This
+    // read returns only once the drain has begun.
     let mut buffer = [0u8; 1];
     assert!(
         !matches!(idle.read(&mut buffer), Ok(n) if n > 0),
         "idle connection received bytes during drain"
     );
+
+    // Client A's request completes only now, inside the drain.
+    in_flight.write_all(last_byte).unwrap();
+
+    // New connections are refused cleanly while draining: either the
+    // connect itself fails (listener gone) or the socket never receives
+    // an HTTP answer — the OS backlog may accept, the server must not.
+    assert!(connect_is_refused(addr), "server answered a connection made after drain began");
 
     // The in-flight request completes with its full, well-formed answer.
     let mut reader = BufReader::new(in_flight);

@@ -190,7 +190,6 @@ fn full_server_lifecycle_over_real_sockets() {
     assert!(text.contains("bstc_model_reload_failures_total 3"), "{text}");
     assert!(text.contains("bstc_workers{state=\"configured\"} 3"), "{text}");
     assert!(text.contains("bstc_workers{state=\"alive\"} 3"), "{text}");
-    assert!(text.contains("bstc_workers_respawned_total 0"), "{text}");
     assert!(text.contains("bstc_panics_caught_total 0"), "{text}");
     assert!(text.contains("bstc_connections_total{event=\"accepted\"}"), "{text}");
     assert!(text.contains("bstc_classify_latency_us_bucket{le=\"+Inf\"}"), "{text}");

@@ -325,14 +325,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run of plain bytes up to the next `"` or `\` in one
-            // step. Both stop bytes are ASCII and the input is a `&str`, so
-            // the run ends on a char boundary, and validating each run once
-            // keeps the whole scan linear in the string's length.
+            // Copy the run of plain bytes up to the next `"`, `\` or raw
+            // control character in one step. Every stop byte is ASCII and
+            // the input is a `&str`, so the run ends on a char boundary,
+            // and validating each run once keeps the whole scan linear in
+            // the string's length.
             let start = self.pos;
             self.pos = self.bytes[start..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .map_or(self.bytes.len(), |n| start + n);
             let run = std::str::from_utf8(&self.bytes[start..self.pos])
                 .map_err(|_| err("invalid utf-8"))?;
@@ -341,6 +342,12 @@ impl<'a> Parser<'a> {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
+                }
+                Some(b) if b < 0x20 => {
+                    return Err(err(format!(
+                        "unescaped control character {b:#04x} in string at offset {}",
+                        self.pos
+                    )));
                 }
                 Some(_) => {
                     // The run stopped on a backslash.
@@ -397,20 +404,47 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// Skips a run of ASCII digits and returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Reads a number in exactly JSON's grammar: `-? (0 | [1-9][0-9]*)
+    /// (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — no leading zeros, no bare or
+    /// trailing point.
     fn number(&mut self) -> Result<Content, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let bad = |pos: usize, what: &str| err(format!("invalid number at offset {pos}: {what}"));
+        match self.digits() {
+            0 => return Err(bad(start, "no integer digits")),
+            n if n > 1 && self.bytes[self.pos - n] == b'0' => {
+                return Err(bad(start, "leading zero"));
+            }
+            _ => {}
+        }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            is_float = true;
+            if self.digits() == 0 {
+                return Err(bad(start, "no digits after the decimal point"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            is_float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad(start, "no exponent digits"));
             }
         }
         let text =
@@ -452,6 +486,19 @@ mod tests {
         assert!(from_str::<f64>("{").is_err());
         assert!(from_str::<Vec<f64>>("[1,]").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+        // What JSON forbids: raw control characters inside strings,
+        // leading zeros, and a bare or trailing decimal point.
+        for raw in ["\"a\u{0}b\"", "\"tab\there\"", "\"line\nbreak\"", "\"\u{1f}\""] {
+            assert!(from_str::<String>(raw).is_err(), "{raw:?}");
+        }
+        for number in
+            ["01", "-01", "00", "1.", "1.e5", ".5", "-", "-.5", "1e", "1e+", "--1", "1.5.2"]
+        {
+            assert!(from_str::<f64>(number).is_err(), "{number}");
+        }
+        for number in ["0", "-0", "10", "0.5", "-0.5e-3", "1E+2", "1e5"] {
+            assert!(from_str::<f64>(number).is_ok(), "{number}");
+        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ commands:
               parent's verification and checks the .bmx header token only)
   serve      --model BUNDLE.json | --models-dir DIR [--addr HOST:PORT] [--threads N]
              [--queue-depth N] [--request-timeout SECS]  (0 disables the deadline)
-             [--max-batch N]  (0 disables micro-batching)  [--batch-wait-us US]
+             [--max-batch N]  (queued requests one compute thread batches; 1 = none)
              [--kernel-block-bytes N]  (0 = default, half a typical L2)
              [--max-connections N]  (over-cap arrivals shed with 503)
              [--chunk-threshold BYTES]  (0 disables chunked responses)
@@ -602,8 +602,9 @@ fn cmd_classify(args: &[String]) -> Result<(), CliError> {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     for s in 0..data.n_samples() {
-        let pred = model.classify(data.sample(s));
+        // One Algorithm-5 pass per row; Algorithm 6 selects from its values.
         let values = model.class_values(data.sample(s));
+        let pred = bstc::select_class(&values);
         let _ = writeln!(
             out,
             "sample {s}: {} (values {:?})",
@@ -978,13 +979,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         Some(secs) if secs.is_finite() => Some(std::time::Duration::from_secs_f64(secs)),
         Some(_) => return Err(CliError::Usage("bad value for --request-timeout".into())),
     };
-    // `--max-batch 0` disables cross-connection micro-batching; the
-    // wait is the lone-job coalescing window in microseconds.
+    // Most already-queued requests one compute thread drains into a
+    // batch; 1 turns coalescing off.
     let max_batch: usize = parse_flag(args, "--max-batch")?.unwrap_or(defaults.max_batch);
-    let batch_wait = match parse_flag::<u64>(args, "--batch-wait-us")? {
-        None => defaults.batch_wait,
-        Some(us) => std::time::Duration::from_micros(us),
-    };
+    if max_batch == 0 {
+        return Err(CliError::Usage("--max-batch must be at least 1".into()));
+    }
     // Column-block budget of the batch-sweep kernel; 0 keeps the
     // built-in default (half a typical L2).
     let kernel_block_bytes: usize =
@@ -1024,7 +1024,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         queue_depth,
         request_timeout,
         max_batch,
-        batch_wait,
         kernel_block_bytes,
         max_connections,
         chunk_threshold,

@@ -61,6 +61,19 @@ fn full_pipeline_through_the_binary() {
     assert!(stdout.contains("sample 0:"), "{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("accuracy vs file labels"), "{stderr}");
+    // Every printed class is the in-process Algorithm-6 answer.
+    let trained: bstc::BstcModel =
+        serde_json::from_str(&std::fs::read_to_string(&model).unwrap()).unwrap();
+    let data = microarray::io::read_bool_tsv(std::fs::File::open(&items).unwrap()).unwrap();
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), data.n_samples(), "{stdout}");
+    for (s, line) in lines.iter().enumerate() {
+        let expected = &data.class_names()[trained.classify(data.sample(s))];
+        assert!(
+            line.starts_with(&format!("sample {s}: {expected} (values ")),
+            "sample {s}: CLI printed {line:?}, BstcModel::classify says {expected}"
+        );
+    }
 
     let out = cli()
         .args(["mine", "--data", items.to_str().unwrap(), "--class", "1", "-k", "3"])
