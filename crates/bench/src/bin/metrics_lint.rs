@@ -7,9 +7,12 @@
 //! 404s, the legacy aliases — scrapes `/metrics` over plain TCP, and
 //! checks the exposition rules a scraper relies on:
 //!
-//! * every sample line belongs to a metric family announced by a
-//!   `# TYPE` line earlier in the exposition (histogram `_bucket` /
-//!   `_sum` / `_count` samples map to their base family);
+//! * every sample line belongs to the metric family announced by the
+//!   most recent `# TYPE` line (histogram `_bucket` / `_sum` / `_count`
+//!   samples map to their base family): each family is announced once
+//!   and its samples form one block;
+//! * every `(family, kind)` of the documented inventory ([`INVENTORY`],
+//!   DESIGN.md §8) is in the scrape with that kind;
 //! * within each histogram series (same labels minus `le`), cumulative
 //!   bucket counts are monotone non-decreasing, a `+Inf` bucket exists,
 //!   and it equals the series' `_count`;
@@ -58,11 +61,62 @@ fn family_of(name: &str) -> &str {
     name
 }
 
+/// Every family DESIGN.md §8 documents, with its exposition kind. The
+/// lint's server trains in-process and drives every route, so each one
+/// must appear.
+const INVENTORY: [(&str, &str); 28] = [
+    ("bstc_requests_total", "counter"),
+    ("bstc_request_errors_total", "counter"),
+    ("bstc_request_duration_us", "histogram"),
+    ("bstc_request_timeouts_total", "counter"),
+    ("bstc_classify_latency_us", "histogram"),
+    ("bstc_samples_classified_total", "counter"),
+    ("bstc_model_reloads_total", "counter"),
+    ("bstc_model_reload_failures_total", "counter"),
+    ("bstc_connections_total", "counter"),
+    ("bstc_connections_open", "gauge"),
+    ("bstc_panics_caught_total", "counter"),
+    ("bstc_workers", "gauge"),
+    ("bstc_batches_total", "counter"),
+    ("bstc_batch_jobs_total", "counter"),
+    ("bstc_batch_panics_total", "counter"),
+    ("bstc_batch_size", "histogram"),
+    ("bstc_batch_wait_us", "histogram"),
+    ("bstc_batch_model_switches_total", "counter"),
+    ("bstc_models_resident", "gauge"),
+    ("bstc_model_compile_evictions_total", "counter"),
+    ("bstc_shadow_requests_total", "counter"),
+    ("bstc_shadow_dropped_total", "counter"),
+    ("bstc_shadow_disagreements_total", "counter"),
+    ("bstc_shadow_latency_us", "histogram"),
+    ("bstc_stage_duration_us", "histogram"),
+    ("bstc_bst_pairs_total", "counter"),
+    ("bstc_bst_distinct_lists_total", "counter"),
+    ("bstc_bst_arena_bytes_total", "counter"),
+];
+
+/// Every inventory family missing from `text`'s `# TYPE` lines, or
+/// announced there with another kind.
+fn lint_inventory(text: &str) -> Vec<String> {
+    let typed: BTreeMap<&str, &str> =
+        text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' ')).collect();
+    INVENTORY
+        .iter()
+        .filter_map(|&(family, kind)| match typed.get(family) {
+            Some(&have) if have == kind => None,
+            Some(have) => Some(format!("{family} is a {have}, documented as a {kind}")),
+            None => Some(format!("{family} ({kind}) is missing from the exposition")),
+        })
+        .collect()
+}
+
 fn lint(text: &str) -> Vec<String> {
     let mut violations = Vec::new();
     let mut typed: BTreeMap<String, String> = BTreeMap::new(); // family -> type
-                                                               // Histogram series state: (family, labels-minus-le) -> bucket values
-                                                               // in exposition order, the +Inf value, and the _count value.
+                                                               // The family whose block is open: the one the last # TYPE announced.
+    let mut open: Option<String> = None;
+    // Histogram series state: (family, labels-minus-le) -> bucket values
+    // in exposition order, the +Inf value, and the _count value.
     let mut buckets: BTreeMap<(String, String), Vec<u64>> = BTreeMap::new();
     let mut inf: BTreeMap<(String, String), u64> = BTreeMap::new();
     let mut counts: BTreeMap<(String, String), u64> = BTreeMap::new();
@@ -80,7 +134,12 @@ fn lint(text: &str) -> Vec<String> {
             let mut parts = rest.split_whitespace();
             match (parts.next(), parts.next()) {
                 (Some(name), Some(kind)) => {
-                    typed.insert(name.to_string(), kind.to_string());
+                    if typed.insert(name.to_string(), kind.to_string()).is_some() {
+                        violations.push(format!(
+                            "line {lineno}: family {name} announced by a second # TYPE line"
+                        ));
+                    }
+                    open = Some(name.to_string());
                 }
                 _ => violations.push(format!("line {lineno}: malformed TYPE line '{line}'")),
             }
@@ -100,6 +159,11 @@ fn lint(text: &str) -> Vec<String> {
                 .push(format!("line {lineno}: sample '{name}' has no preceding # TYPE {family}"));
             continue;
         };
+        if open.as_deref() != Some(family) {
+            violations.push(format!(
+                "line {lineno}: sample '{name}' arrives after the {family} block closed"
+            ));
+        }
         let is_histogram_part = name != family;
         if is_histogram_part && kind != "histogram" {
             violations.push(format!(
@@ -325,6 +389,7 @@ fn main() {
     }
 
     let mut violations = lint(body);
+    violations.extend(lint_inventory(body));
     violations.extend(lint_model_labels(body, &["primary", "candidate"]));
     // The crafted flipped candidate makes disagreement certain: a zero
     // (or missing) counter here means shadow comparison is broken.
@@ -387,6 +452,35 @@ mod tests {
     fn clean_exposition_passes() {
         let text = "# TYPE a counter\na 1\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 2\nh_sum 3\n";
         assert!(lint(text).is_empty(), "{:?}", lint(text));
+    }
+
+    #[test]
+    fn a_family_typed_twice_is_flagged() {
+        let text = "# TYPE a counter\na{x=\"1\"} 1\n# TYPE a counter\na{x=\"2\"} 2\n";
+        assert!(lint(text).iter().any(|v| v.contains("second # TYPE")), "{:?}", lint(text));
+    }
+
+    #[test]
+    fn a_sample_after_its_family_block_is_flagged() {
+        let text = "# TYPE a counter\na 1\n# TYPE b counter\nb 1\na{x=\"late\"} 2\n";
+        assert!(
+            lint(text).iter().any(|v| v.contains("after the a block closed")),
+            "{:?}",
+            lint(text)
+        );
+    }
+
+    #[test]
+    fn the_inventory_flags_missing_and_mistyped_families() {
+        let mut text: String =
+            super::INVENTORY.iter().map(|(f, k)| format!("# TYPE {f} {k}\n")).collect();
+        assert!(super::lint_inventory(&text).is_empty());
+        text = text.replace("# TYPE bstc_workers gauge\n", "# TYPE bstc_workers counter\n");
+        text = text.replace("# TYPE bstc_batch_size histogram\n", "");
+        let violations = super::lint_inventory(&text);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations.iter().any(|v| v.contains("bstc_workers is a counter")));
+        assert!(violations.iter().any(|v| v.contains("bstc_batch_size (histogram) is missing")));
     }
 
     #[test]

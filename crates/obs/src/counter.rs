@@ -1,95 +1,42 @@
-//! Process-global monotonic counters: named `AtomicU64`s with
-//! Prometheus counter-family rendering.
+//! Named volume counters: a by-name view over the unlabelled counter
+//! families of the process-global [`Registry`].
 //!
 //! Stage histograms ([`crate::stage`]) answer "how long did phase X
 //! take"; counters answer "how much work did it do". The BST builder
 //! records its volume counters here (`bstc_bst_pairs_total`,
 //! `bstc_bst_distinct_lists_total`, `bstc_bst_arena_bytes_total`), the
-//! CLI folds them into `BENCH_train.json`, and the server appends them
-//! to `GET /metrics`.
+//! CLI folds them into `BENCH_train.json`, and `/metrics` renders them
+//! with the rest of the global registry.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use crate::registry::{global, Registry};
 
-/// A named collection of monotonic `u64` counters.
-///
-/// Counters are created on first use and live for the registry's
-/// lifetime; the lock is taken only to insert a new name, so
-/// [`CounterRegistry::add`] on an existing counter is one atomic op
-/// after a read-locked lookup (or hold the [`Arc`] from
-/// [`CounterRegistry::counter`] to skip even that).
-pub struct CounterRegistry {
-    inner: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
-}
+/// Unlabelled counters of a [`Registry`], addressed by family name.
+pub struct Counters<'a>(&'a Registry);
 
-impl CounterRegistry {
-    /// Creates an empty registry (usable in `static` position).
-    pub const fn new() -> CounterRegistry {
-        CounterRegistry { inner: RwLock::new(BTreeMap::new()) }
-    }
-
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, Arc<AtomicU64>>> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Returns the counter registered under `name`, creating it at zero
-    /// if this is the first use of the name.
-    pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        if let Some(c) = self.read().get(name) {
-            return Arc::clone(c);
-        }
-        let mut map = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(AtomicU64::new(0))))
-    }
-
-    /// Adds `delta` to the counter under `name` (created if absent).
+impl Counters<'_> {
+    /// Adds `delta` to the counter `name` (created if absent). Callers
+    /// on a hot path hold a [`crate::Counter`] from
+    /// [`Registry::counter`] instead.
     pub fn add(&self, name: &str, delta: u64) {
-        self.counter(name).fetch_add(delta, Ordering::Relaxed);
+        self.0.counter(name, &[]).add(delta);
     }
 
-    /// Current value of the counter under `name`; 0 if never touched.
+    /// Current value of the counter `name`; 0 if never touched.
     pub fn get(&self, name: &str) -> u64 {
-        self.read().get(name).map_or(0, |c| c.load(Ordering::Relaxed))
+        self.0.value_total(name)
     }
 
-    /// Every registered counter's `(name, value)`, in name order.
+    /// Every counter family's `(name, value)`, in name order.
     pub fn totals(&self) -> Vec<(String, u64)> {
-        self.read().iter().map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed))).collect()
-    }
-
-    /// Renders every registered counter as its own Prometheus counter
-    /// family (`# TYPE <name> counter` + one unlabelled sample). Returns
-    /// an empty string when nothing is registered, so callers can append
-    /// this verbatim to an existing exposition.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in self.totals() {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        out
-    }
-
-    /// Resets the registry to empty (test isolation helper).
-    pub fn clear(&self) {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner).clear();
+        self.0.counter_totals()
     }
 }
 
-impl Default for CounterRegistry {
-    fn default() -> Self {
-        CounterRegistry::new()
-    }
-}
-
-static GLOBAL: CounterRegistry = CounterRegistry::new();
-
-/// The process-global counter registry. The training pipeline records
-/// into it; `/metrics`, `BENCH_train.json`, and the CLI read it.
-pub fn counters() -> &'static CounterRegistry {
-    &GLOBAL
+/// The counters of the process-global registry. The training pipeline
+/// records into them; `/metrics`, `BENCH_train.json`, and the CLI read
+/// them.
+pub fn counters() -> Counters<'static> {
+    Counters(global())
 }
 
 #[cfg(test)]
@@ -98,42 +45,34 @@ mod tests {
 
     #[test]
     fn add_creates_and_accumulates() {
-        let reg = CounterRegistry::new();
-        assert_eq!(reg.get("x_total"), 0);
-        reg.add("x_total", 3);
-        reg.add("x_total", 4);
-        assert_eq!(reg.get("x_total"), 7);
-    }
-
-    #[test]
-    fn counter_identity_is_stable_per_name() {
-        let reg = CounterRegistry::new();
-        let a = reg.counter("same");
-        let b = reg.counter("same");
-        assert!(Arc::ptr_eq(&a, &b));
-        a.fetch_add(5, Ordering::Relaxed);
-        assert_eq!(reg.get("same"), 5);
+        let reg = Registry::new();
+        let counters = Counters(&reg);
+        assert_eq!(counters.get("x_total"), 0);
+        counters.add("x_total", 3);
+        counters.add("x_total", 4);
+        assert_eq!(counters.get("x_total"), 7);
     }
 
     #[test]
     fn totals_are_name_ordered() {
-        let reg = CounterRegistry::new();
-        reg.add("b_total", 2);
-        reg.add("a_total", 1);
-        assert_eq!(reg.totals(), vec![("a_total".into(), 1), ("b_total".into(), 2)]);
+        let reg = Registry::new();
+        let counters = Counters(&reg);
+        counters.add("b_total", 2);
+        counters.add("a_total", 1);
+        assert_eq!(counters.totals(), vec![("a_total".into(), 1), ("b_total".into(), 2)]);
     }
 
     #[test]
-    fn render_is_empty_without_counters_and_typed_with() {
-        let reg = CounterRegistry::new();
-        assert_eq!(reg.render_prometheus(), "");
-        reg.add("bstc_bst_pairs_total", 42);
-        let out = reg.render_prometheus();
+    fn counters_render_as_typed_unlabelled_families() {
+        let reg = Registry::new();
+        Counters(&reg).add("bstc_bst_pairs_total", 42);
+        let mut out = String::new();
+        reg.render_into(&mut out);
         assert_eq!(out, "# TYPE bstc_bst_pairs_total counter\nbstc_bst_pairs_total 42\n");
     }
 
     #[test]
-    fn global_registry_is_shared() {
+    fn global_counters_are_shared() {
         counters().add("counter_global_smoke_total", 1);
         assert!(counters().get("counter_global_smoke_total") >= 1);
     }

@@ -249,7 +249,7 @@ pub(crate) fn render_counts_into(
 
 /// `{k="v",...}` (empty string when no labels), with `le` appended for
 /// bucket samples (`u64::MAX` renders as `+Inf`).
-fn render_labels(labels: &[(&str, &str)], le: Option<u64>) -> String {
+pub(crate) fn render_labels(labels: &[(&str, &str)], le: Option<u64>) -> String {
     let mut parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
     match le {
         Some(u64::MAX) => parts.push("le=\"+Inf\"".into()),

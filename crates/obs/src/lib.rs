@@ -9,13 +9,17 @@
 //!   plus the shared nearest-rank helpers ([`nearest_rank_index`],
 //!   [`percentile_of_sorted`]) every bench uses so p99 is computed the
 //!   same way everywhere;
-//! * [`counter`] — [`CounterRegistry`], process-global monotonic named
-//!   counters (`bstc_bst_pairs_total`, …) rendered as Prometheus counter
-//!   families next to the stage histograms;
+//! * [`registry`] — [`Registry`], the one metric store and Prometheus
+//!   renderer: named counter, gauge, histogram and windowed-histogram
+//!   families of labelled series, recorded through lock-free handles
+//!   ([`Counter`], [`Gauge`], `Arc<Histogram>`), each family rendered
+//!   under one `# TYPE` line; [`global`] is the process-global instance;
 //! * [`stage`] — [`Stage`], a drop-guard span timer (`Stage::enter
-//!   ("mdl_cuts")` … drop records the elapsed microseconds) feeding a
-//!   process-global [`Registry`] of named histograms that renders as one
-//!   Prometheus histogram family (`bstc_stage_duration_us{stage=...}`);
+//!   ("mdl_cuts")` … drop records the elapsed microseconds) into the
+//!   global registry's `bstc_stage_duration_us{stage=...}` family, with
+//!   per-stage totals ([`Registry::totals`]);
+//! * [`counter`] — [`counters`], the by-name view of the global
+//!   registry's unlabelled counters (`bstc_bst_pairs_total`, …);
 //! * [`window`] — [`WindowedHistogram`], a two-epoch flip variant of
 //!   [`Histogram`] whose reports cover only the last 1–2 windows, so
 //!   scraped p99s reflect steady state instead of mixing in cold-start
@@ -31,23 +35,27 @@
 //!   structure in one tree.
 //!
 //! The training pipeline records into the global registry (stages
-//! `mdl_cuts`, `binarize`, `bst_build`, `compile`, `classify_batch`);
-//! the inference server renders that registry on `GET /metrics` next to
-//! its own request histograms, so one scrape decomposes both the
-//! paper's per-stage training cost (Tables 4–7) and serving latency.
+//! `mdl_cuts`, `binarize`, `bst_build`, `compile`, `classify_batch`, and
+//! the BST volume counters). The inference server keeps its request,
+//! connection and batch families in a registry of its own and renders
+//! it followed by the global one on `GET /metrics`, so one scrape
+//! decomposes both the paper's per-stage training cost (Tables 4–7) and
+//! serving latency, through one renderer.
 
 #![warn(missing_docs)]
 
 pub mod counter;
 pub mod hist;
 pub mod log;
+pub mod registry;
 pub mod stage;
 pub mod trace;
 pub mod window;
 
-pub use counter::{counters, CounterRegistry};
+pub use counter::{counters, Counters};
 pub use hist::{nearest_rank_index, percentile_of_sorted, Histogram};
 pub use log::{Level, LogFormat};
-pub use stage::{global, Registry, Stage, StageTotal};
+pub use registry::{global, Counter, Gauge, Registry};
+pub use stage::{Stage, StageTotal};
 pub use trace::{Span, SpanRecord, Trace};
 pub use window::WindowedHistogram;

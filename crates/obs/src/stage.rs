@@ -1,38 +1,32 @@
-//! Stage timers: named drop-guard spans feeding a registry of
-//! histograms.
+//! Stage timers: named drop-guard spans recorded into the
+//! `bstc_stage_duration_us{stage=...}` histogram family of a
+//! [`Registry`].
 //!
 //! `Stage::enter("mdl_cuts")` starts a span; dropping the guard records
-//! the elapsed wall time in microseconds into the histogram named
-//! `mdl_cuts` in the process-global [`Registry`]. Recording is lock-free
-//! (the registry lock is taken only on first use of a name, to insert
-//! the histogram); the registry renders all stages as one Prometheus
-//! histogram family and exposes raw per-stage totals for CLI
-//! breakdowns.
+//! the elapsed wall time in microseconds into the series
+//! `{stage="mdl_cuts"}` of the process-global registry. The registry
+//! lock is taken once at `enter`, to find (or insert) the series;
+//! recording itself is lock-free. [`Registry::totals`] gives the raw
+//! per-stage count and sum for CLI and bench breakdowns.
 //!
 //! The stage names used across the BSTC stack are `mdl_cuts`,
 //! `binarize`, `bst_build`, `compile` and `classify_batch` — one per
 //! pipeline phase, matching the per-stage cost decomposition of the
 //! paper's runtime tables.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::hist::Histogram;
+use crate::registry::{global, Registry};
 
-/// A named collection of [`Histogram`]s, keyed by stage name.
-///
-/// Histograms are created on first use and live for the registry's
-/// lifetime; callers hold an `Arc` to the histogram, so recording never
-/// touches the registry lock.
-pub struct Registry {
-    inner: RwLock<BTreeMap<String, Arc<Histogram>>>,
-}
+/// The histogram family every stage span records into.
+const STAGE_FAMILY: &str = "bstc_stage_duration_us";
 
 /// Aggregate view of one stage: how often it ran and for how long.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTotal {
-    /// Stage name (registry key).
+    /// Stage name (the `stage` label).
     pub name: String,
     /// Number of recorded spans.
     pub count: u64,
@@ -41,75 +35,26 @@ pub struct StageTotal {
 }
 
 impl Registry {
-    /// Creates an empty registry (usable in `static` position).
-    pub const fn new() -> Registry {
-        Registry { inner: RwLock::new(BTreeMap::new()) }
-    }
-
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, Arc<Histogram>>> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Returns the histogram registered under `name`, creating it if
-    /// this is the first use of the name.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.read().get(name) {
-            return Arc::clone(h);
-        }
-        let mut map = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new())))
-    }
-
-    /// Returns the histogram under `name` without creating it.
-    pub fn get(&self, name: &str) -> Option<Arc<Histogram>> {
-        self.read().get(name).map(Arc::clone)
+    /// The histogram of stage `name` (created on first use).
+    fn stage(&self, name: &str) -> Arc<Histogram> {
+        self.histogram(STAGE_FAMILY, &[("stage", name)])
     }
 
     /// Count/sum totals for every registered stage, in name order.
     /// Stages that never recorded a span (created but unused) are
     /// included with zero counts.
     pub fn totals(&self) -> Vec<StageTotal> {
-        self.read()
-            .iter()
-            .map(|(name, h)| StageTotal { name: name.clone(), count: h.count(), sum_us: h.sum() })
-            .collect()
+        let mut totals: Vec<StageTotal> = self
+            .histogram_totals(STAGE_FAMILY)
+            .into_iter()
+            .filter_map(|(labels, count, sum_us)| {
+                let (_, name) = labels.into_iter().find(|(k, _)| k == "stage")?;
+                Some(StageTotal { name, count, sum_us })
+            })
+            .collect();
+        totals.sort_by(|a, b| a.name.cmp(&b.name));
+        totals
     }
-
-    /// Renders every registered stage as one Prometheus histogram
-    /// family named `metric`, labelled `{label_key="<stage>"}`. Returns
-    /// an empty string when no stage has been registered, so callers
-    /// can append this verbatim to an existing exposition.
-    pub fn render_prometheus(&self, metric: &str, label_key: &str) -> String {
-        let entries: Vec<(String, Arc<Histogram>)> =
-            self.read().iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect();
-        if entries.is_empty() {
-            return String::new();
-        }
-        let mut out = format!("# TYPE {metric} histogram\n");
-        for (name, h) in &entries {
-            h.render_into(&mut out, metric, &[(label_key, name)]);
-        }
-        out
-    }
-
-    /// Drops every registered histogram (test isolation helper).
-    pub fn clear(&self) {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner).clear();
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
-}
-
-static GLOBAL: Registry = Registry::new();
-
-/// The process-global stage registry. The training pipeline records
-/// into it; `/metrics` and the CLI read it.
-pub fn global() -> &'static Registry {
-    &GLOBAL
 }
 
 /// A drop-guard span timer: created with a stage name, records the
@@ -119,7 +64,7 @@ pub fn global() -> &'static Registry {
 /// {
 ///     let _stage = obs::Stage::enter("mdl_cuts");
 ///     // ... work ...
-/// } // drop records elapsed µs into global()'s "mdl_cuts" histogram
+/// } // drop records elapsed µs into global()'s "mdl_cuts" series
 /// ```
 #[must_use = "a Stage records on drop; binding it to _ drops it immediately"]
 pub struct Stage {
@@ -135,7 +80,7 @@ impl Stage {
 
     /// Starts a span recording into an explicit registry (tests).
     pub fn enter_in(registry: &Registry, name: &str) -> Stage {
-        Stage { hist: registry.histogram(name), started: Instant::now() }
+        Stage { hist: registry.stage(name), started: Instant::now() }
     }
 }
 
@@ -157,7 +102,7 @@ mod tests {
             let _s = Stage::enter_in(&reg, "unit_stage");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let h = reg.get("unit_stage").expect("histogram created");
+        let h = reg.stage("unit_stage");
         assert_eq!(h.count(), 1);
         assert!(h.sum() >= 1_000, "recorded {} µs", h.sum());
     }
@@ -165,9 +110,9 @@ mod tests {
     #[test]
     fn totals_are_sorted_and_accumulate() {
         let reg = Registry::new();
-        reg.histogram("b_stage").record(5);
-        reg.histogram("a_stage").record(7);
-        reg.histogram("a_stage").record(9);
+        reg.stage("b_stage").record(5);
+        reg.stage("a_stage").record(7);
+        reg.stage("a_stage").record(9);
         let totals = reg.totals();
         assert_eq!(
             totals,
@@ -179,29 +124,22 @@ mod tests {
     }
 
     #[test]
-    fn histogram_identity_is_stable_per_name() {
+    fn stages_render_as_one_labelled_histogram_family() {
         let reg = Registry::new();
-        let a = reg.histogram("same");
-        let b = reg.histogram("same");
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn render_is_empty_without_stages_and_typed_with() {
-        let reg = Registry::new();
-        assert_eq!(reg.render_prometheus("m", "stage"), "");
-        reg.histogram("compile").record(42);
-        let out = reg.render_prometheus("bstc_stage_duration_us", "stage");
+        reg.stage("compile").record(42);
+        reg.stage("binarize").record(1);
+        let mut out = String::new();
+        reg.render_into(&mut out);
         assert!(out.starts_with("# TYPE bstc_stage_duration_us histogram\n"), "{out}");
+        assert_eq!(out.matches("# TYPE").count(), 1, "{out}");
         assert!(out.contains("bstc_stage_duration_us_count{stage=\"compile\"} 1"), "{out}");
         assert!(out.contains("bstc_stage_duration_us_sum{stage=\"compile\"} 42"), "{out}");
-        assert!(out.contains("le=\"+Inf\""), "{out}");
+        assert!(out.contains("bstc_stage_duration_us_bucket{stage=\"binarize\",le=\"+Inf\"} 1"));
     }
 
     #[test]
     fn global_registry_is_shared() {
-        global().histogram("global_smoke").record(1);
-        assert!(global().get("global_smoke").is_some());
+        global().stage("global_smoke").record(1);
         let totals = global().totals();
         assert!(totals.iter().any(|t| t.name == "global_smoke" && t.count >= 1));
     }

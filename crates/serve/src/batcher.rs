@@ -46,7 +46,8 @@ pub(crate) fn execute(
     metrics: &Metrics,
     rotation: usize,
 ) -> Vec<Option<Vec<Prediction>>> {
-    metrics.record_batch(jobs.len() as u64);
+    metrics.batches.inc();
+    metrics.batch_size.record(jobs.len() as u64);
     // Partition by bundle identity (a registry fleet interleaves models;
     // a hot /reload splits one model mid-stream the same way), keeping
     // arrival order within each group.
@@ -57,7 +58,7 @@ pub(crate) fn execute(
             None => groups.push(vec![i]),
         }
     }
-    metrics.record_batch_model_switches(groups.len().saturating_sub(1) as u64);
+    metrics.batch_model_switches.add(groups.len().saturating_sub(1) as u64);
     let start = rotation % groups.len().max(1);
     groups.rotate_left(start);
     let mut results: Vec<Option<Vec<Prediction>>> = vec![None; jobs.len()];
@@ -98,7 +99,7 @@ pub(crate) fn execute(
                 let block_bytes = scratch.block_bytes();
                 *scratch = ParBatchScratch::new();
                 scratch.set_block_bytes(block_bytes);
-                metrics.record_batch_panic();
+                metrics.batch_panics.inc();
             }
         }
     }

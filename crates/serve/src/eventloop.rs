@@ -388,7 +388,7 @@ impl EventLoop {
             self.apply_completions();
             self.fire_timers();
         }
-        self.shared.metrics.set_conns_open(0);
+        self.shared.metrics.conns_open.set(0);
     }
 
     // -- admission ----------------------------------------------------------
@@ -401,14 +401,14 @@ impl EventLoop {
             };
             match accepted {
                 Ok((stream, _)) => {
-                    self.shared.metrics.record_conn_accepted();
+                    self.shared.metrics.conns_accepted.inc();
                     let _ = stream.set_nodelay(true);
                     if stream.set_nonblocking(true).is_err() {
-                        self.shared.metrics.record_conn_handled();
+                        self.shared.metrics.conns_handled.inc();
                         continue;
                     }
                     if self.open_admitted >= self.config.max_connections {
-                        self.shared.metrics.record_conn_shed();
+                        self.shared.metrics.conns_shed.inc();
                         self.shed_connection(stream);
                     } else {
                         self.admit(stream);
@@ -437,7 +437,7 @@ impl EventLoop {
         let conn = Conn::new(stream, self.next_gen, true);
         self.open += 1;
         self.open_admitted += 1;
-        self.shared.metrics.set_conns_open(self.open as u64);
+        self.shared.metrics.conns_open.set(self.open as u64);
         self.settle(t, conn);
     }
 
@@ -456,7 +456,7 @@ impl EventLoop {
         conn.accounted = true;
         conn.force_linger = true;
         self.open += 1;
-        self.shared.metrics.set_conns_open(self.open as u64);
+        self.shared.metrics.conns_open.set(self.open as u64);
         let response = Response::json(
             503,
             error_body("overloaded", "connection limit reached; retry shortly"),
@@ -591,7 +591,7 @@ impl EventLoop {
             Ok(()) => {
                 if !conn.accounted {
                     conn.accounted = true;
-                    self.shared.metrics.record_conn_handled();
+                    self.shared.metrics.conns_handled.inc();
                 }
                 conn.state = ConnState::Dispatched;
             }
@@ -600,7 +600,7 @@ impl EventLoop {
                 // acceptor did, with an immediate 503 + retry-after.
                 if !conn.accounted {
                     conn.accounted = true;
-                    self.shared.metrics.record_conn_shed();
+                    self.shared.metrics.conns_shed.inc();
                 }
                 conn.force_linger = true;
                 conn.pending.clear();
@@ -814,14 +814,14 @@ impl EventLoop {
         if !conn.accounted {
             // Never dispatched, never shed: an idle or errored-out
             // connection still balances the ledger as handled.
-            self.shared.metrics.record_conn_handled();
+            self.shared.metrics.conns_handled.inc();
         }
         self.open -= 1;
         if conn.admitted {
             self.open_admitted -= 1;
         }
         self.free.push(t);
-        self.shared.metrics.set_conns_open(self.open as u64);
+        self.shared.metrics.conns_open.set(self.open as u64);
     }
 
     fn begin_drain(&mut self) {

@@ -24,9 +24,10 @@
 //!   already waiting, up to `--max-batch`) run through the batch-sweep
 //!   kernel once per model, amortizing the model pass over concurrent
 //!   requests.
-//! * [`metrics`] — lock-free request counters and latency histograms
-//!   (windowed for the request- and batch-wait families), including the
-//!   fault-tolerance and batching counters (shed, panics caught,
+//! * [`metrics`] — the server's [`obs::Registry`] and the lock-free
+//!   handles its call sites record into: request counters and latency
+//!   histograms (windowed for the request- and batch-wait families) and
+//!   the fault-tolerance and batching counters (shed, panics caught,
 //!   timeouts, batch ledger).
 //! * [`queue`] — the poison-free bounded loop→compute hand-off;
 //!   admission beyond its depth is shed with `503` + `Retry-After`.

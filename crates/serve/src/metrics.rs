@@ -1,482 +1,219 @@
-//! Lock-free serving metrics, rendered in a Prometheus-style plaintext
-//! format by `GET /metrics`. Everything is relaxed atomics: counters are
-//! monotonically increasing and the scrape tolerates torn reads across
-//! series.
+//! The server's metrics: one [`obs::Registry`] per server plus the
+//! handles its call sites record into, resolved once at construction.
 //!
-//! Latency is measured with the shared obs histograms — the same
-//! log-bucketed, nearest-rank-percentile buckets the training stages and
-//! benches use. The *request*- and *batch*-latency families
-//! (`bstc_request_duration_us{route=...}`, `bstc_batch_wait_us`) are
-//! [`obs::WindowedHistogram`]s: their scraped percentiles cover only the
-//! last 1–2 minutes, so steady-state p99s are not diluted by cold-start
-//! history. The `/classify` handler's own `bstc_classify_latency_us` and
-//! the batch-size distribution stay cumulative (their totals feed
+//! Recording is a relaxed atomic on a held handle — no lock, no map
+//! lookup. The per-server registry keeps several servers in one process
+//! apart; `GET /metrics` renders it followed by the process-global
+//! registry (stage histograms and BST volume counters), through the one
+//! renderer, [`obs::Registry::render_into`].
+//!
+//! Two policies stay here. Route pooling (`Metrics::endpoint`) maps
+//! every path onto a fixed `route` label set, and a 408 also counts as
+//! a request timeout. The request- and batch-wait latency families
+//! (`bstc_request_duration_us{route}`, `bstc_batch_wait_us`) are
+//! windowed, so their scraped percentiles cover only the last 1–2
+//! minutes; `bstc_classify_latency_us`, `bstc_batch_size` and
+//! `bstc_shadow_latency_us` stay cumulative (their totals feed
 //! cross-run comparisons).
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Arc;
 
-use obs::{Histogram, WindowedHistogram};
+use obs::{Counter, Gauge, Histogram, Registry, WindowedHistogram};
 
-/// Counters for one endpoint family.
-#[derive(Debug, Default)]
-pub struct EndpointStats {
-    hits: AtomicU64,
-    errors: AtomicU64,
-    /// Whole-request wall time (read + handle + write), microseconds —
-    /// windowed, so scraped p99s reflect recent traffic only.
-    latency: WindowedHistogram,
-}
+/// The `route` label values; every request path pools into one of them.
+const ROUTES: [&str; 6] = ["/classify", "/health", "/model", "/metrics", "/reload", "other"];
 
-impl EndpointStats {
-    fn record(&self, status: u16) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if status >= 400 {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+const SHADOW_DISAGREEMENTS: &str = "bstc_shadow_disagreements_total";
+
+/// The series of one `route` label value.
+#[derive(Debug)]
+pub(crate) struct RouteSeries {
+    requests: Counter,
+    errors: Counter,
+    /// Whole-request wall time (read + handle + write), microseconds.
+    pub(crate) latency: Arc<WindowedHistogram>,
 }
 
 /// All metrics of one server instance.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
-    classify: EndpointStats,
-    health: EndpointStats,
-    model: EndpointStats,
-    metrics: EndpointStats,
-    reload: EndpointStats,
-    other: EndpointStats,
+    registry: Registry,
+    routes: [RouteSeries; ROUTES.len()],
     /// Individual expression vectors classified (a batch counts each row).
-    samples_classified: AtomicU64,
+    pub(crate) samples_classified: Counter,
     /// Completed model hot-swaps.
-    reloads: AtomicU64,
-    /// Rejected hot-swaps (bad file, failed checksum, ...); the old model
-    /// kept serving.
-    reload_failures: AtomicU64,
-    /// Connections the acceptor took from the listener.
-    conns_accepted: AtomicU64,
-    /// Connections answered `503 overloaded` because the hand-off queue
-    /// was full.
-    conns_shed: AtomicU64,
-    /// Connections whose first request was dispatched to compute (every
-    /// accepted connection ends up exactly once in `shed` or `handled`).
-    conns_handled: AtomicU64,
-    /// Gauge: connections currently registered with the event loop. A
-    /// nonzero value after traffic has fully drained means a leaked
-    /// connection slot.
-    conns_open: AtomicU64,
+    pub(crate) reloads: Counter,
+    /// Rejected hot-swaps; the old model kept serving.
+    pub(crate) reload_failures: Counter,
+    /// Connections the event loop took from the listener.
+    pub(crate) conns_accepted: Counter,
+    /// Connections answered `503 overloaded` at admission or dispatch.
+    pub(crate) conns_shed: Counter,
+    /// Connections not shed (each accepted one is shed or handled once).
+    pub(crate) conns_handled: Counter,
+    /// Sockets registered with the event loop; nonzero once drained is a leak.
+    pub(crate) conns_open: Gauge,
     /// Handler panics converted into 500 responses by `catch_unwind`.
-    panics_caught: AtomicU64,
+    pub(crate) panics_caught: Counter,
     /// Requests that hit their wall-clock deadline (408s).
-    request_timeouts: AtomicU64,
-    /// Gauge: compute threads currently alive.
-    workers_alive: AtomicU64,
-    /// Gauge: compute threads the server was configured with.
-    workers_configured: AtomicU64,
-    /// `/classify` *handler* latency (parse + classify, excluding
-    /// request read and response write) — the paper-relevant number.
-    classify_latency: Histogram,
+    request_timeouts: Counter,
+    /// Compute threads currently alive.
+    pub(crate) workers_alive: Gauge,
+    /// Compute threads the server was configured with.
+    pub(crate) workers_configured: Gauge,
+    /// `/classify` handler latency, µs: decode → answer built.
+    pub(crate) classify_latency: Arc<Histogram>,
     /// Kernel executions: drained batches holding at least one classify.
-    batches_executed: AtomicU64,
+    pub(crate) batches: Counter,
     /// Decoded classify jobs handed to a kernel execution.
-    batch_jobs_submitted: AtomicU64,
-    /// Submitted jobs that received a response (answer or 500 after a
-    /// kernel panic — a clean ledger: in steady state `submitted ==
-    /// completed`, so a gap means a stranded job).
-    batch_jobs_completed: AtomicU64,
-    /// Kernel groups that panicked (isolated; member jobs answered 500,
-    /// the compute thread survived).
-    batch_panics: AtomicU64,
-    /// Classify jobs per kernel execution (cumulative — the amortization
-    /// factor over the whole run).
-    batch_size: Histogram,
-    /// Time requests spent queued between dispatch and compute-thread
-    /// pickup, microseconds (windowed: the queueing tax under *current*
-    /// load).
-    batch_wait_us: WindowedHistogram,
-    /// Bundle-group switches inside batch executions: how often the
-    /// batch kernel changed models within one coalesced batch (the cost
-    /// of round-robin fairness across a mixed-model fleet).
-    batch_model_switches: AtomicU64,
-    /// Gauge: compiled models currently resident (LRU-tracked).
-    models_resident: AtomicU64,
+    pub(crate) batch_jobs_submitted: Counter,
+    /// Submitted jobs answered (`submitted == completed` once drained).
+    pub(crate) batch_jobs_completed: Counter,
+    /// Kernel groups that panicked (member jobs answered 500).
+    pub(crate) batch_panics: Counter,
+    /// Classify jobs per kernel execution.
+    pub(crate) batch_size: Arc<Histogram>,
+    /// Dispatch → compute-thread pickup, µs.
+    pub(crate) batch_wait_us: Arc<WindowedHistogram>,
+    /// Extra per-model groups inside batch executions.
+    pub(crate) batch_model_switches: Counter,
+    /// Compiled models currently resident (LRU-tracked).
+    pub(crate) models_resident: Gauge,
     /// Compiled forms evicted by the residency LRU.
-    compile_evictions: AtomicU64,
+    pub(crate) compile_evictions: Counter,
     /// Mirrored requests the shadow executor replayed.
-    shadow_requests: AtomicU64,
+    pub(crate) shadow_requests: Counter,
     /// Mirrored requests dropped because the shadow queue was full.
-    shadow_dropped: AtomicU64,
-    /// Per-primary-model count of replays where the candidate's class
-    /// differed on at least one row. Keyed by model name — a `Mutex`
-    /// around a map, not an atomic, because the label set is dynamic;
-    /// cardinality stays bounded because the registry validates names
-    /// at load time and shadowing is configured per registered model.
-    shadow_disagreements: Mutex<BTreeMap<String, u64>>,
-    /// Candidate classification latency in the shadow executor,
-    /// microseconds (cumulative, for direct comparison against
-    /// `bstc_classify_latency_us`).
-    shadow_latency_us: Histogram,
+    pub(crate) shadow_dropped: Counter,
+    /// Candidate classification latency in the shadow executor, µs.
+    pub(crate) shadow_latency_us: Arc<Histogram>,
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics::new()
+    }
 }
 
 impl Metrics {
-    /// Creates zeroed metrics.
+    /// Registers every series at zero and resolves its handle.
     pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
-    /// Records one handled request by route and response status.
-    pub fn record_request(&self, path: &str, status: u16) {
-        self.endpoint(path).record(status);
-        if status == 408 {
-            self.request_timeouts.fetch_add(1, Ordering::Relaxed);
+        let registry = Registry::new();
+        let counter = |name: &str| registry.counter(name, &[]);
+        let labelled = |name: &str, key: &str, value: &str| registry.counter(name, &[(key, value)]);
+        let gauge = |name: &str, labels: &[(&str, &str)]| registry.gauge(name, labels);
+        let routes = ROUTES.map(|route| RouteSeries {
+            requests: labelled("bstc_requests_total", "route", route),
+            errors: labelled("bstc_request_errors_total", "route", route),
+            latency: registry.windowed("bstc_request_duration_us", &[("route", route)]),
+        });
+        Metrics {
+            routes,
+            samples_classified: counter("bstc_samples_classified_total"),
+            reloads: counter("bstc_model_reloads_total"),
+            reload_failures: counter("bstc_model_reload_failures_total"),
+            conns_accepted: labelled("bstc_connections_total", "event", "accepted"),
+            conns_shed: labelled("bstc_connections_total", "event", "shed"),
+            conns_handled: labelled("bstc_connections_total", "event", "handled"),
+            conns_open: gauge("bstc_connections_open", &[]),
+            panics_caught: counter("bstc_panics_caught_total"),
+            request_timeouts: counter("bstc_request_timeouts_total"),
+            workers_alive: gauge("bstc_workers", &[("state", "alive")]),
+            workers_configured: gauge("bstc_workers", &[("state", "configured")]),
+            classify_latency: registry.histogram("bstc_classify_latency_us", &[]),
+            batches: counter("bstc_batches_total"),
+            batch_jobs_submitted: labelled("bstc_batch_jobs_total", "state", "submitted"),
+            batch_jobs_completed: labelled("bstc_batch_jobs_total", "state", "completed"),
+            batch_panics: counter("bstc_batch_panics_total"),
+            batch_size: registry.histogram("bstc_batch_size", &[]),
+            batch_wait_us: registry.windowed("bstc_batch_wait_us", &[]),
+            batch_model_switches: counter("bstc_batch_model_switches_total"),
+            models_resident: gauge("bstc_models_resident", &[]),
+            compile_evictions: counter("bstc_model_compile_evictions_total"),
+            shadow_requests: counter("bstc_shadow_requests_total"),
+            shadow_dropped: counter("bstc_shadow_dropped_total"),
+            shadow_latency_us: registry.histogram("bstc_shadow_latency_us", &[]),
+            registry,
         }
     }
 
-    /// Records a `/classify` handler latency observation.
-    pub fn record_latency_us(&self, us: u64) {
-        self.classify_latency.record(us);
-    }
-
-    /// Records whole-request wall time against the route's endpoint
-    /// histogram (unknown paths pool under `other`).
-    pub fn record_route_latency(&self, path: &str, us: u64) {
-        self.endpoint(path).latency.record(us);
-    }
-
-    /// The `/classify` handler-latency nearest-rank p-quantile, µs
-    /// (0 when nothing has been recorded). Used by supervisors and tests;
-    /// scrapes read the full histogram from [`render`](Self::render).
-    pub fn classify_latency_percentile_us(&self, p: f64) -> u64 {
-        self.classify_latency.percentile(p)
-    }
-
-    fn endpoint(&self, path: &str) -> &EndpointStats {
-        match path {
-            "/classify" => &self.classify,
-            "/health" => &self.health,
-            "/model" => &self.model,
-            "/metrics" => &self.metrics,
-            "/reload" => &self.reload,
-            // Registry routes pool into their unnamed counterparts: the
-            // `route` label set stays fixed no matter how many models are
-            // registered (bounded label cardinality by construction).
+    /// The series of the route `path` pools into: registry routes pool
+    /// into their unnamed counterparts and unknown paths into `other`,
+    /// so the `route` label set stays fixed however many models are
+    /// registered.
+    pub(crate) fn endpoint(&self, path: &str) -> &RouteSeries {
+        let route = match path {
+            "/classify" | "/health" | "/model" | "/metrics" | "/reload" => path,
             _ if path.starts_with("/v1/models") => {
                 if path.ends_with("/classify") {
-                    &self.classify
+                    "/classify"
                 } else if path.ends_with("/reload") {
-                    &self.reload
+                    "/reload"
                 } else {
-                    &self.model
+                    "/model"
                 }
             }
-            _ => &self.other,
+            _ => "other",
+        };
+        let at = ROUTES.iter().position(|r| *r == route).expect("route label");
+        &self.routes[at]
+    }
+
+    /// Counts one answered request by route and status; a 408 is also
+    /// a request timeout.
+    pub fn record_request(&self, path: &str, status: u16) {
+        let route = self.endpoint(path);
+        route.requests.inc();
+        if status >= 400 {
+            route.errors.inc();
+        }
+        if status == 408 {
+            self.request_timeouts.inc();
         }
     }
 
-    /// Adds to the classified-samples counter.
-    pub fn record_samples(&self, n: u64) {
-        self.samples_classified.fetch_add(n, Ordering::Relaxed);
+    /// The disagreement counter of shadowed primary `model` (created at
+    /// zero on first use; model names are validated at registration, so
+    /// the label set stays bounded).
+    pub(crate) fn shadow_disagreements(&self, model: &str) -> Counter {
+        self.registry.counter(SHADOW_DISAGREEMENTS, &[("model", model)])
     }
 
-    /// Records a completed hot-swap.
-    pub fn record_reload(&self) {
-        self.reloads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a rejected hot-swap (the old model kept serving).
-    pub fn record_reload_failure(&self) {
-        self.reload_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one connection taken from the listener.
-    pub fn record_conn_accepted(&self) {
-        self.conns_accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one connection shed with `503 overloaded` at admission.
-    pub fn record_conn_shed(&self) {
-        self.conns_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one connection whose first request reached compute.
-    pub fn record_conn_handled(&self) {
-        self.conns_handled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sets the open-connections gauge (event-loop registered sockets).
-    pub fn set_conns_open(&self, n: u64) {
-        self.conns_open.store(n, Ordering::Relaxed);
-    }
-
-    /// Records a handler panic that was isolated into a 500 response.
-    pub fn record_panic_caught(&self) {
-        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sets the live compute-thread gauge.
-    pub fn set_workers_alive(&self, n: u64) {
-        self.workers_alive.store(n, Ordering::Relaxed);
-    }
-
-    /// Records one compute thread exiting (decrements the live gauge).
-    pub fn record_worker_exit(&self) {
-        self.workers_alive.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Sets the configured pool-size gauge.
-    pub fn set_workers_configured(&self, n: u64) {
-        self.workers_configured.store(n, Ordering::Relaxed);
-    }
-
-    /// Records one kernel execution of `size` coalesced classify jobs.
-    pub fn record_batch(&self, size: u64) {
-        self.batches_executed.fetch_add(1, Ordering::Relaxed);
-        self.batch_size.record(size);
-    }
-
-    /// Records how long one request waited between dispatch and pickup.
-    pub fn record_batch_wait_us(&self, us: u64) {
-        self.batch_wait_us.record(us);
-    }
-
-    /// Records `n` classify jobs handed to one kernel execution.
-    pub fn record_batch_jobs_submitted(&self, n: u64) {
-        self.batch_jobs_submitted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one submitted job that received its response.
-    pub fn record_batch_job_completed(&self) {
-        self.batch_jobs_completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one isolated kernel-group panic.
-    pub fn record_batch_panic(&self) {
-        self.batch_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` model switches inside one batch execution.
-    pub fn record_batch_model_switches(&self, n: u64) {
-        self.batch_model_switches.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Sets the compiled-models-resident gauge.
-    pub fn set_models_resident(&self, n: u64) {
-        self.models_resident.store(n, Ordering::Relaxed);
-    }
-
-    /// Records one compiled form evicted by the residency LRU.
-    pub fn record_compile_eviction(&self) {
-        self.compile_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one replayed shadow request and its candidate latency.
-    pub fn record_shadow_request(&self, latency_us: u64) {
-        self.shadow_requests.fetch_add(1, Ordering::Relaxed);
-        self.shadow_latency_us.record(latency_us);
-    }
-
-    /// Records one shadow replay disagreeing with the primary, labeled
-    /// by the primary model's name.
-    pub fn record_shadow_disagreement(&self, model: &str) {
-        let mut map = self.shadow_disagreements.lock().unwrap_or_else(PoisonError::into_inner);
-        *map.entry(model.to_string()).or_insert(0) += 1;
-    }
-
-    /// Records one shadow job dropped at a full queue.
-    pub fn record_shadow_dropped(&self) {
-        self.shadow_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough point-in-time copy for tests and supervisors
+    /// A consistent-enough point-in-time copy for tests and callers
     /// (individual counters are exact; cross-counter skew is possible
     /// while traffic is in flight).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_shed: self.conns_shed.load(Ordering::Relaxed),
-            conns_handled: self.conns_handled.load(Ordering::Relaxed),
-            conns_open: self.conns_open.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            workers_alive: self.workers_alive.load(Ordering::Relaxed),
-            workers_configured: self.workers_configured.load(Ordering::Relaxed),
-            request_timeouts: self.request_timeouts.load(Ordering::Relaxed),
-            reloads: self.reloads.load(Ordering::Relaxed),
-            reload_failures: self.reload_failures.load(Ordering::Relaxed),
-            samples_classified: self.samples_classified.load(Ordering::Relaxed),
-            batches_executed: self.batches_executed.load(Ordering::Relaxed),
-            batch_jobs_submitted: self.batch_jobs_submitted.load(Ordering::Relaxed),
-            batch_jobs_completed: self.batch_jobs_completed.load(Ordering::Relaxed),
-            batch_panics: self.batch_panics.load(Ordering::Relaxed),
-            batch_model_switches: self.batch_model_switches.load(Ordering::Relaxed),
-            models_resident: self.models_resident.load(Ordering::Relaxed),
-            compile_evictions: self.compile_evictions.load(Ordering::Relaxed),
-            shadow_requests: self.shadow_requests.load(Ordering::Relaxed),
-            shadow_dropped: self.shadow_dropped.load(Ordering::Relaxed),
-            shadow_disagreements: self
-                .shadow_disagreements
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .values()
-                .sum(),
+            conns_accepted: self.conns_accepted.get(),
+            conns_shed: self.conns_shed.get(),
+            conns_handled: self.conns_handled.get(),
+            conns_open: self.conns_open.get(),
+            panics_caught: self.panics_caught.get(),
+            workers_alive: self.workers_alive.get(),
+            workers_configured: self.workers_configured.get(),
+            request_timeouts: self.request_timeouts.get(),
+            reloads: self.reloads.get(),
+            reload_failures: self.reload_failures.get(),
+            samples_classified: self.samples_classified.get(),
+            batches_executed: self.batches.get(),
+            batch_jobs_submitted: self.batch_jobs_submitted.get(),
+            batch_jobs_completed: self.batch_jobs_completed.get(),
+            batch_panics: self.batch_panics.get(),
+            batch_model_switches: self.batch_model_switches.get(),
+            models_resident: self.models_resident.get(),
+            compile_evictions: self.compile_evictions.get(),
+            shadow_requests: self.shadow_requests.get(),
+            shadow_dropped: self.shadow_dropped.get(),
+            shadow_disagreements: self.registry.value_total(SHADOW_DISAGREEMENTS),
         }
     }
 
-    /// Renders the Prometheus-style plaintext exposition.
+    /// The `GET /metrics` exposition: this server's families, then the
+    /// process-global registry's.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(1024);
-        let routes = [
-            ("/classify", &self.classify),
-            ("/health", &self.health),
-            ("/model", &self.model),
-            ("/metrics", &self.metrics),
-            ("/reload", &self.reload),
-            ("other", &self.other),
-        ];
-        // One family at a time: a scraper requires every sample to follow
-        // its own # TYPE line (interleaving the two families put the
-        // error samples under bstc_requests_total's type).
-        out.push_str("# TYPE bstc_requests_total counter\n");
-        for (route, stats) in routes {
-            let _ = writeln!(
-                out,
-                "bstc_requests_total{{route=\"{route}\"}} {}",
-                stats.hits.load(Ordering::Relaxed)
-            );
-        }
-        out.push_str("# TYPE bstc_request_errors_total counter\n");
-        for (route, stats) in routes {
-            let _ = writeln!(
-                out,
-                "bstc_request_errors_total{{route=\"{route}\"}} {}",
-                stats.errors.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_samples_classified_total counter\nbstc_samples_classified_total {}",
-            self.samples_classified.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_model_reloads_total counter\nbstc_model_reloads_total {}",
-            self.reloads.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_model_reload_failures_total counter\nbstc_model_reload_failures_total {}",
-            self.reload_failures.load(Ordering::Relaxed)
-        );
-        out.push_str("# TYPE bstc_connections_total counter\n");
-        for (event, counter) in [
-            ("accepted", &self.conns_accepted),
-            ("shed", &self.conns_shed),
-            ("handled", &self.conns_handled),
-        ] {
-            let _ = writeln!(
-                out,
-                "bstc_connections_total{{event=\"{event}\"}} {}",
-                counter.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_connections_open gauge\nbstc_connections_open {}",
-            self.conns_open.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_panics_caught_total counter\nbstc_panics_caught_total {}",
-            self.panics_caught.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_request_timeouts_total counter\nbstc_request_timeouts_total {}",
-            self.request_timeouts.load(Ordering::Relaxed)
-        );
-        out.push_str("# TYPE bstc_workers gauge\n");
-        let _ = writeln!(
-            out,
-            "bstc_workers{{state=\"alive\"}} {}",
-            self.workers_alive.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "bstc_workers{{state=\"configured\"}} {}",
-            self.workers_configured.load(Ordering::Relaxed)
-        );
-        out.push_str("# TYPE bstc_request_duration_us histogram\n");
-        for (route, stats) in [
-            ("/classify", &self.classify),
-            ("/health", &self.health),
-            ("/model", &self.model),
-            ("/metrics", &self.metrics),
-            ("/reload", &self.reload),
-            ("other", &self.other),
-        ] {
-            stats.latency.render_into(&mut out, "bstc_request_duration_us", &[("route", route)]);
-        }
-        out.push_str("# TYPE bstc_classify_latency_us histogram\n");
-        self.classify_latency.render_into(&mut out, "bstc_classify_latency_us", &[]);
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_batches_total counter\nbstc_batches_total {}",
-            self.batches_executed.load(Ordering::Relaxed)
-        );
-        out.push_str("# TYPE bstc_batch_jobs_total counter\n");
-        for (state, counter) in
-            [("submitted", &self.batch_jobs_submitted), ("completed", &self.batch_jobs_completed)]
-        {
-            let _ = writeln!(
-                out,
-                "bstc_batch_jobs_total{{state=\"{state}\"}} {}",
-                counter.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_batch_panics_total counter\nbstc_batch_panics_total {}",
-            self.batch_panics.load(Ordering::Relaxed)
-        );
-        out.push_str("# TYPE bstc_batch_size histogram\n");
-        self.batch_size.render_into(&mut out, "bstc_batch_size", &[]);
-        out.push_str("# TYPE bstc_batch_wait_us histogram\n");
-        self.batch_wait_us.render_into(&mut out, "bstc_batch_wait_us", &[]);
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_batch_model_switches_total counter\nbstc_batch_model_switches_total {}",
-            self.batch_model_switches.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_models_resident gauge\nbstc_models_resident {}",
-            self.models_resident.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_model_compile_evictions_total counter\n\
-             bstc_model_compile_evictions_total {}",
-            self.compile_evictions.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_shadow_requests_total counter\nbstc_shadow_requests_total {}",
-            self.shadow_requests.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE bstc_shadow_dropped_total counter\nbstc_shadow_dropped_total {}",
-            self.shadow_dropped.load(Ordering::Relaxed)
-        );
-        out.push_str("# TYPE bstc_shadow_disagreements_total counter\n");
-        for (model, count) in
-            self.shadow_disagreements.lock().unwrap_or_else(PoisonError::into_inner).iter()
-        {
-            let _ = writeln!(out, "bstc_shadow_disagreements_total{{model=\"{model}\"}} {count}");
-        }
-        out.push_str("# TYPE bstc_shadow_latency_us histogram\n");
-        self.shadow_latency_us.render_into(&mut out, "bstc_shadow_latency_us", &[]);
+        let mut out = String::with_capacity(16 * 1024);
+        self.registry.render_into(&mut out);
+        obs::global().render_into(&mut out);
         out
     }
 }
@@ -537,20 +274,21 @@ mod tests {
     fn requests_count_by_route_and_status() {
         let m = Metrics::new();
         m.record_request("/classify", 200);
-        m.record_request("/classify", 400);
+        m.record_request("/v1/models/x/classify", 400);
         m.record_request("/nope", 404);
         let text = m.render();
         assert!(text.contains("bstc_requests_total{route=\"/classify\"} 2"), "{text}");
         assert!(text.contains("bstc_request_errors_total{route=\"/classify\"} 1"), "{text}");
         assert!(text.contains("bstc_requests_total{route=\"other\"} 1"), "{text}");
+        assert!(text.contains("bstc_requests_total{route=\"/reload\"} 0"), "{text}");
     }
 
     #[test]
     fn classify_latency_uses_shared_histogram() {
         let m = Metrics::new();
-        m.record_latency_us(50);
-        m.record_latency_us(700);
-        m.record_latency_us(10_000_000);
+        for us in [50, 700, 10_000_000] {
+            m.classify_latency.record(us);
+        }
         let text = m.render();
         // Exact sum/count survive the move to log buckets.
         assert!(text.contains("bstc_classify_latency_us_bucket{le=\"+Inf\"} 3"), "{text}");
@@ -559,21 +297,21 @@ mod tests {
         // Nearest-rank percentiles come from the shared obs histogram:
         // the bucketed answer may sit up to one bucket (~6%) above the
         // recorded sample, never below it.
-        let p99 = m.classify_latency_percentile_us(0.99);
+        let p99 = m.classify_latency.percentile(0.99);
         assert!((10_000_000..=10_700_000).contains(&p99), "p99 {p99}");
-        let p0 = m.classify_latency_percentile_us(0.0);
+        let p0 = m.classify_latency.percentile(0.0);
         assert!((50..=54).contains(&p0), "p0 {p0}");
     }
 
     #[test]
     fn route_latency_renders_per_endpoint_family() {
         let m = Metrics::new();
-        m.record_route_latency("/classify", 800);
-        m.record_route_latency("/classify", 1_200);
-        m.record_route_latency("/health", 30);
-        m.record_route_latency("/nope", 5);
+        for (path, us) in [("/classify", 800), ("/classify", 1_200), ("/health", 30), ("/nope", 5)]
+        {
+            m.endpoint(path).latency.record(us);
+        }
         let text = m.render();
-        assert!(text.contains("# TYPE bstc_request_duration_us histogram"), "{text}");
+        assert_eq!(text.matches("# TYPE bstc_request_duration_us histogram").count(), 1);
         assert!(text.contains("bstc_request_duration_us_count{route=\"/classify\"} 2"), "{text}");
         assert!(text.contains("bstc_request_duration_us_sum{route=\"/classify\"} 2000"), "{text}");
         assert!(text.contains("bstc_request_duration_us_count{route=\"/health\"} 1"), "{text}");
@@ -588,23 +326,21 @@ mod tests {
     #[test]
     fn fault_tolerance_counters_render_and_snapshot() {
         let m = Metrics::new();
-        m.set_workers_configured(4);
-        m.set_workers_alive(4);
-        m.record_worker_exit();
-        for _ in 0..5 {
-            m.record_conn_accepted();
-        }
-        m.record_conn_shed();
-        for _ in 0..4 {
-            m.record_conn_handled();
-        }
-        m.record_panic_caught();
-        m.record_reload_failure();
+        m.workers_configured.set(4);
+        m.workers_alive.set(4);
+        m.workers_alive.dec();
+        m.conns_accepted.add(5);
+        m.conns_shed.inc();
+        m.conns_handled.add(4);
+        m.conns_open.set(2);
+        m.panics_caught.inc();
+        m.reload_failures.inc();
         m.record_request("/classify", 408);
         let text = m.render();
         assert!(text.contains("bstc_connections_total{event=\"accepted\"} 5"), "{text}");
         assert!(text.contains("bstc_connections_total{event=\"shed\"} 1"), "{text}");
         assert!(text.contains("bstc_connections_total{event=\"handled\"} 4"), "{text}");
+        assert!(text.contains("# TYPE bstc_connections_open gauge\nbstc_connections_open 2"));
         assert!(text.contains("bstc_panics_caught_total 1"), "{text}");
         assert!(text.contains("bstc_model_reload_failures_total 1"), "{text}");
         assert!(text.contains("bstc_request_timeouts_total 1"), "{text}");
@@ -614,19 +350,20 @@ mod tests {
         assert_eq!(snap.conns_accepted, snap.conns_handled + snap.conns_shed);
         assert_eq!(snap.panics_caught, 1);
         assert_eq!(snap.request_timeouts, 1);
+        assert_eq!(snap.conns_open, 2);
     }
 
     #[test]
     fn batch_families_render_and_snapshot() {
         let m = Metrics::new();
-        m.record_batch(4);
-        m.record_batch(1);
-        m.record_batch_wait_us(150);
-        m.record_batch_jobs_submitted(5);
-        for _ in 0..5 {
-            m.record_batch_job_completed();
+        for size in [4, 1] {
+            m.batches.inc();
+            m.batch_size.record(size);
         }
-        m.record_batch_panic();
+        m.batch_wait_us.record(150);
+        m.batch_jobs_submitted.add(5);
+        m.batch_jobs_completed.add(5);
+        m.batch_panics.inc();
         let text = m.render();
         assert!(text.contains("bstc_batches_total 2"), "{text}");
         assert!(text.contains("bstc_batch_jobs_total{state=\"submitted\"} 5"), "{text}");
@@ -644,15 +381,15 @@ mod tests {
     #[test]
     fn registry_and_shadow_families_render_and_snapshot() {
         let m = Metrics::new();
-        m.set_models_resident(2);
-        m.record_compile_eviction();
-        m.record_batch_model_switches(3);
-        m.record_shadow_request(120);
-        m.record_shadow_request(340);
-        m.record_shadow_disagreement("tumor");
-        m.record_shadow_disagreement("tumor");
-        m.record_shadow_disagreement("leukemia");
-        m.record_shadow_dropped();
+        m.models_resident.set(2);
+        m.compile_evictions.inc();
+        m.batch_model_switches.add(3);
+        m.shadow_requests.add(2);
+        m.shadow_latency_us.record(120);
+        m.shadow_latency_us.record(340);
+        m.shadow_disagreements("tumor").add(2);
+        m.shadow_disagreements("leukemia").inc();
+        m.shadow_dropped.inc();
         let text = m.render();
         assert!(text.contains("bstc_models_resident 2"), "{text}");
         assert!(text.contains("bstc_model_compile_evictions_total 1"), "{text}");
@@ -663,10 +400,6 @@ mod tests {
         assert!(text.contains("bstc_shadow_disagreements_total{model=\"leukemia\"} 1"), "{text}");
         assert!(text.contains("bstc_shadow_latency_us_count 2"), "{text}");
         assert!(text.contains("bstc_shadow_latency_us_sum 460"), "{text}");
-        // The TYPE line precedes the labeled samples (scrape hygiene).
-        let type_at = text.find("# TYPE bstc_shadow_disagreements_total").unwrap();
-        let sample_at = text.find("bstc_shadow_disagreements_total{").unwrap();
-        assert!(type_at < sample_at, "{text}");
         let snap = m.snapshot();
         assert_eq!(snap.models_resident, 2);
         assert_eq!(snap.compile_evictions, 1);
@@ -679,11 +412,27 @@ mod tests {
     #[test]
     fn samples_and_reloads_accumulate() {
         let m = Metrics::new();
-        m.record_samples(3);
-        m.record_samples(2);
-        m.record_reload();
+        m.samples_classified.add(3);
+        m.samples_classified.add(2);
+        m.reloads.inc();
         let text = m.render();
         assert!(text.contains("bstc_samples_classified_total 5"), "{text}");
         assert!(text.contains("bstc_model_reloads_total 1"), "{text}");
+    }
+
+    #[test]
+    fn every_family_is_typed_once_across_both_registries() {
+        let m = Metrics::new();
+        m.shadow_disagreements("m").inc();
+        drop(obs::Stage::enter("metrics_unit_stage"));
+        obs::counters().add("metrics_unit_total", 1);
+        let text = m.render();
+        let mut typed: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let families = typed.len();
+        typed.sort_unstable();
+        typed.dedup();
+        assert_eq!(typed.len(), families, "{text}");
+        assert!(text.contains("bstc_stage_duration_us_count{stage=\"metrics_unit_stage\"} 1"));
+        assert!(text.contains("# TYPE metrics_unit_total counter\nmetrics_unit_total 1"));
     }
 }

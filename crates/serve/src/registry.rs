@@ -395,12 +395,12 @@ impl ModelRegistry {
                 let (_, coldest) = lru.order.remove(0);
                 if let Some(cold) = coldest.upgrade() {
                     if cold.evict_compiled() {
-                        self.metrics.record_compile_eviction();
+                        self.metrics.compile_evictions.inc();
                     }
                 }
             }
         }
-        self.metrics.set_models_resident(lru.order.len() as u64);
+        self.metrics.models_resident.set(lru.order.len() as u64);
     }
 
     /// How many compiled models the LRU currently tracks as resident.

@@ -263,6 +263,8 @@ fn serve_registry(
                 )
             })?;
         }
+        // The primary's disagreement series reads 0 from boot on.
+        metrics.shadow_disagreements(&spec.primary);
         shadow_routes.push(ShadowRoute::new(spec.clone(), config.shadow_seed));
     }
     let (shadow, shadow_thread) = if shadow_routes.is_empty() {
@@ -314,8 +316,8 @@ fn serve_registry(
     } else {
         config.threads
     };
-    shared.metrics.set_workers_configured(n_threads as u64);
-    shared.metrics.set_workers_alive(n_threads as u64);
+    shared.metrics.workers_configured.set(n_threads as u64);
+    shared.metrics.workers_alive.set(n_threads as u64);
     let compute_threads = (0..n_threads)
         .map(|i| {
             let shared = Arc::clone(&shared);
@@ -331,11 +333,11 @@ fn serve_registry(
 
 /// Decrements the alive gauge when a compute thread ends, however it
 /// ends, so `bstc_workers{state="alive"}` never counts a dead thread.
-struct AliveGauge<'a>(&'a Metrics);
+struct AliveGauge<'a>(&'a obs::Gauge);
 
 impl Drop for AliveGauge<'_> {
     fn drop(&mut self) {
-        self.0.record_worker_exit();
+        self.0.dec();
     }
 }
 
@@ -343,7 +345,7 @@ impl Drop for AliveGauge<'_> {
 /// of what else is already queued, serve the batch, and repeat until
 /// the queue closes and drains.
 fn compute(shared: &Shared, max_batch: usize, kernel_block_bytes: usize) {
-    let _alive = AliveGauge(&shared.metrics);
+    let _alive = AliveGauge(&shared.metrics.workers_alive);
     // One kernel scratch per thread, so steady-state batches allocate
     // nothing in the kernel; it regrows if /reload swaps in a larger
     // model.
@@ -459,7 +461,7 @@ fn serve_batch(
 ) {
     let mut pending = Vec::new();
     for item in items {
-        shared.metrics.record_batch_wait_us(micros(item.dispatched.elapsed()));
+        shared.metrics.batch_wait_us.record(micros(item.dispatched.elapsed()));
         let request_id = accept_or_mint_request_id(&item.request);
         let deadline = shared.request_timeout.map(|budget| item.started + budget);
         let step = match check_deadline(deadline, "queued for compute") {
@@ -502,14 +504,14 @@ fn serve_batch(
             ("queries", &queries.to_string()),
         ],
     );
-    shared.metrics.record_batch_jobs_submitted(jobs.len() as u64);
+    shared.metrics.batch_jobs_submitted.add(jobs.len() as u64);
     let outcomes = batcher::execute(jobs, scratch, &shared.metrics, rotation);
     if outcomes.iter().any(Option::is_none) {
         obs::log::warn("batch_panicked", &[("batch_id", batch_id.as_str())]);
     }
 
     for ((item, request_id, decoded), predictions) in pending.into_iter().zip(outcomes) {
-        shared.metrics.record_batch_job_completed();
+        shared.metrics.batch_jobs_completed.inc();
         let response = isolated(shared, || classify_response(shared, decoded, predictions))
             .unwrap_or_else(|panicked| panicked);
         finish(shared, item, &request_id, response.with_header("x-batch-id", batch_id.clone()));
@@ -521,7 +523,7 @@ fn serve_batch(
 /// `bstc_panics_caught_total`, and the compute thread serves on.
 fn isolated<T>(shared: &Shared, step: impl FnOnce() -> T) -> Result<T, Response> {
     catch_unwind(AssertUnwindSafe(step)).map_err(|_| {
-        shared.metrics.record_panic_caught();
+        shared.metrics.panics_caught.inc();
         error_response(
             500,
             "internal_error",
@@ -541,7 +543,7 @@ fn classify_response(
     chaos::point("respond");
     let response = match predictions {
         Some(predictions) => {
-            shared.metrics.record_samples(predictions.len() as u64);
+            shared.metrics.samples_classified.add(predictions.len() as u64);
             maybe_shadow(shared, &decoded.version, &decoded.rows, &predictions);
             // `name@vN` on every successful classify: the client can tell
             // exactly which registry version answered, across hot swaps.
@@ -554,7 +556,7 @@ fn classify_response(
             "batch execution failed; the compute thread recovered",
         ),
     };
-    shared.metrics.record_latency_us(micros(decoded.started.elapsed()));
+    shared.metrics.classify_latency.record(micros(decoded.started.elapsed()));
     response
 }
 
@@ -564,7 +566,7 @@ fn finish(shared: &Shared, item: WorkItem, request_id: &str, response: Response)
     let response = response.with_header("x-request-id", request_id.to_string());
     let latency_us = micros(started.elapsed());
     shared.metrics.record_request(&request.path, response.status);
-    shared.metrics.record_route_latency(&request.path, latency_us);
+    shared.metrics.endpoint(&request.path).latency.record(latency_us);
     let status = response.status.to_string();
     let latency = latency_us.to_string();
     let mut fields: Vec<(&str, &str)> = vec![
@@ -680,16 +682,7 @@ fn route(shared: &Shared, request: &Request, deadline: Option<Instant>) -> Step 
         Route::Model => handle_model(shared, None),
         Route::ModelMeta(name) => handle_model(shared, Some(name)),
         Route::Models => handle_models(shared),
-        Route::Metrics => {
-            // Server metrics plus the process-global stage registry and
-            // volume counters, so one scrape covers serving latency and
-            // (when this process also trained) the per-stage pipeline
-            // cost and the BST builder's work counters.
-            let mut text = shared.metrics.render();
-            text.push_str(&obs::global().render_prometheus("bstc_stage_duration_us", "stage"));
-            text.push_str(&obs::counters().render_prometheus());
-            Response::text(200, text)
-        }
+        Route::Metrics => Response::text(200, shared.metrics.render()),
         Route::Reload(name) => handle_reload(shared, name, &request.body),
         Route::MethodNotAllowed => error_response(
             405,
@@ -939,7 +932,7 @@ fn handle_reload(shared: &Shared, name: Option<&str>, body: &[u8]) -> Response {
     }
     match shared.registry.swap(&current.name, override_path) {
         Ok(next) => {
-            shared.metrics.record_reload();
+            shared.metrics.reloads.inc();
             let body = json!({
                 "reloaded": true,
                 "model": next.name,
@@ -953,7 +946,7 @@ fn handle_reload(shared: &Shared, name: Option<&str>, body: &[u8]) -> Response {
         // The old version keeps serving: a bad file must never take the
         // process down or leave it empty-handed.
         Err(e) => {
-            shared.metrics.record_reload_failure();
+            shared.metrics.reload_failures.inc();
             error_response(e.http_status(), e.code(), &e.to_string())
         }
     }

@@ -171,7 +171,7 @@ impl ShadowExecutor {
     /// and must never apply backpressure to the serving path.
     pub fn enqueue(&self, job: ShadowJob) {
         if self.queue.push(job).is_err() {
-            self.metrics.record_shadow_dropped();
+            self.metrics.shadow_dropped.inc();
         }
     }
 
@@ -209,9 +209,10 @@ fn replay(job: &ShadowJob, scratch: &mut Scratch, metrics: &Metrics) {
         }
     }
     let latency_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    metrics.record_shadow_request(latency_us);
+    metrics.shadow_requests.inc();
+    metrics.shadow_latency_us.record(latency_us);
     if disagreed {
-        metrics.record_shadow_disagreement(&job.model);
+        metrics.shadow_disagreements(&job.model).inc();
     }
 }
 

@@ -89,13 +89,14 @@ fn keepalive_clients_get_their_own_answers_under_concurrent_batching() {
                     let s = (t * 31 + i * 7) % data.n_samples();
                     let body = format!("{{\"values\":{}}}", fmt_row(data.row(s)));
                     let id = format!("client{t}-req{i}");
-                    let head = format!(
+                    // One write per request: a head and body sent apart stall on
+                    // Nagle plus delayed ACK (~40 ms each).
+                    let request = format!(
                         "POST /classify HTTP/1.1\r\nhost: test\r\nx-request-id: {id}\r\n\
-                         content-length: {}\r\n\r\n",
+                         content-length: {}\r\n\r\n{body}",
                         body.len()
                     );
-                    reader.get_mut().write_all(head.as_bytes()).unwrap();
-                    reader.get_mut().write_all(body.as_bytes()).unwrap();
+                    reader.get_mut().write_all(request.as_bytes()).unwrap();
                     let response = read_keepalive_response(&mut reader);
                     assert_eq!(response.status, 200, "{}", response.body);
                     // The response on this connection is for *this*

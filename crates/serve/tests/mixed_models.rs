@@ -113,13 +113,14 @@ fn interleaved_models_batch_without_mixing_widths() {
                     let s = (t * 31 + i * 7) % data.n_samples();
                     let body = format!("{{\"values\":{}}}", fmt_row(data.row(s)));
                     let id = format!("client{t}-req{i}");
-                    let head = format!(
+                    // One write per request: a head and body sent apart stall on
+                    // Nagle plus delayed ACK (~40 ms each).
+                    let request = format!(
                         "POST /v1/models/{name}/classify HTTP/1.1\r\nhost: test\r\n\
-                         x-request-id: {id}\r\ncontent-length: {}\r\n\r\n",
+                         x-request-id: {id}\r\ncontent-length: {}\r\n\r\n{body}",
                         body.len()
                     );
-                    reader.get_mut().write_all(head.as_bytes()).unwrap();
-                    reader.get_mut().write_all(body.as_bytes()).unwrap();
+                    reader.get_mut().write_all(request.as_bytes()).unwrap();
                     let response = read_keepalive_response(&mut reader);
                     assert_eq!(response.status, 200, "{}", response.body);
                     assert_eq!(response.request_id.as_deref(), Some(id.as_str()));

@@ -15,7 +15,7 @@
 //! `#bool-microarray v1` (see `microarray::io`).
 //!
 //! Exit codes: `0` success, `1` runtime failure (bad file, bad data),
-//! `2` usage error (unknown command, missing or malformed flags).
+//! `2` usage error (unknown command, unknown, missing or malformed flags).
 
 use bstc::BstcModel;
 use discretize::Discretizer;
@@ -58,17 +58,19 @@ fn main() -> ExitCode {
             eprintln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        Some(cmd) => apply_log_flags(&args[1..]).and_then(|()| match cmd {
-            "synth" => cmd_synth(&args[1..]),
-            "discretize" => cmd_discretize(&args[1..]),
-            "train" => cmd_train(&args[1..]),
-            "classify" => cmd_classify(&args[1..]),
-            "mine" => cmd_mine(&args[1..]),
-            "cv" => cmd_cv(&args[1..]),
-            "cv-shard" => cmd_cv_shard(&args[1..]),
-            "serve" => cmd_serve(&args[1..]),
-            other => Err(CliError::Usage(format!("unknown command '{other}'\n{USAGE}"))),
-        }),
+        Some(cmd) => check_flags(cmd, &args[1..])
+            .and_then(|()| apply_log_flags(&args[1..]))
+            .and_then(|()| match cmd {
+                "synth" => cmd_synth(&args[1..]),
+                "discretize" => cmd_discretize(&args[1..]),
+                "train" => cmd_train(&args[1..]),
+                "classify" => cmd_classify(&args[1..]),
+                "mine" => cmd_mine(&args[1..]),
+                "cv" => cmd_cv(&args[1..]),
+                "cv-shard" => cmd_cv_shard(&args[1..]),
+                "serve" => cmd_serve(&args[1..]),
+                other => Err(CliError::Usage(format!("unknown command '{other}'\n{USAGE}"))),
+            }),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -117,6 +119,51 @@ commands:
 every command also accepts the logging flags:
   [--log-format text|json] [--log-level debug|info|warn|error]
   [--log-file PATH [--log-rotate-bytes N] [--log-rotate-keep K]]";
+
+/// The logging flags every command accepts (see [`apply_log_flags`]).
+const LOG_FLAGS: &str = "--log-format --log-level --log-file --log-rotate-bytes --log-rotate-keep";
+
+/// The flags `cmd` takes besides [`LOG_FLAGS`], space-separated; each
+/// takes a value. `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "synth" => "--preset --out --seed --scale --genes --class-sizes",
+        "discretize" => "--train --apply --out --cuts",
+        "train" => {
+            "--data --model --save --bench-out --chunk-bytes --assert-peak-rss-mb --dataset --seed"
+        }
+        "classify" => "--model --data",
+        "mine" => "--data --class -k",
+        "cv" => "--data --spec --reps --seed --chunk-bytes --shards --out",
+        "cv-shard" => "--data --spec --rep-start --rep-end --seed --chunk-bytes --skip-checksum",
+        "serve" => {
+            "--model --models-dir --addr --threads --queue-depth --request-timeout --max-batch \
+             --kernel-block-bytes --max-connections --chunk-threshold --default-model \
+             --max-resident --shadow --shadow-seed"
+        }
+        _ => return None,
+    })
+}
+
+/// Refuses any `-x`/`--x` that `cmd` does not take, so a misspelt or
+/// removed flag is a usage error instead of being silently ignored.
+/// Each known flag's value is skipped, so a value may start with `-`.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    let Some(flags) = command_flags(cmd) else { return Ok(()) };
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            continue;
+        }
+        if !flags.split_whitespace().chain(LOG_FLAGS.split_whitespace()).any(|f| f == arg) {
+            return Err(CliError::Usage(format!(
+                "unknown flag {arg} for {cmd} (bstc-cli --help lists each command's flags)"
+            )));
+        }
+        rest.next();
+    }
+    Ok(())
+}
 
 /// Pulls `--flag value` pairs out of an argument list.
 fn flag(args: &[String], name: &str) -> Option<String> {
