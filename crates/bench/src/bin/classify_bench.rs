@@ -33,7 +33,7 @@
 //! `--assert-speedup X` / `--assert-kernel-speedup X` exit nonzero when
 //! the corresponding ratio lands under `X` (CI regression guards).
 
-use bstc::{pool, Arithmetization, BatchScratch, BstcModel, ParBatchScratch, Scratch};
+use bstc::{pool, Arithmetization, BstcModel, Scratch};
 use discretize::Discretizer;
 use microarray::simd;
 use microarray::synth::presets;
@@ -226,7 +226,7 @@ fn main() {
     // form. Both warmed so neither pays its first-call buffer growth
     // inside the timed region.
     simd::force_portable(true);
-    let mut baseline_scratch = BatchScratch::new();
+    let mut baseline_scratch = Scratch::new();
     baseline_scratch.set_block_bytes(1);
     compiled.class_values_batch_into_legacy(&queries, &mut baseline_scratch);
     let t0 = Instant::now();
@@ -234,16 +234,16 @@ fn main() {
     let kernel_baseline_secs = t0.elapsed().as_secs_f64();
     simd::force_portable(false);
 
-    let mut par_scratch = ParBatchScratch::new();
-    par_scratch.set_block_bytes(block_bytes);
-    compiled.class_values_batch_par_into(&queries, pool::global(), &mut par_scratch);
+    let mut scratch = Scratch::new();
+    scratch.set_block_bytes(block_bytes);
+    compiled.class_values_batch_into(&queries, pool::global(), &mut scratch);
     let t0 = Instant::now();
-    compiled.class_values_batch_par_into(&queries, pool::global(), &mut par_scratch);
+    compiled.class_values_batch_into(&queries, pool::global(), &mut scratch);
     let kernel_secs = t0.elapsed().as_secs_f64();
 
     // Bit-identity across kernels is a hard invariant, not a tolerance.
     for q in 0..n_queries {
-        if baseline_scratch.values_of(q) != par_scratch.values_of(q) {
+        if baseline_scratch.values_of(q) != scratch.values_of(q) {
             eprintln!("error: blocked/SIMD kernel diverges from scalar baseline at query {q}");
             std::process::exit(1);
         }
@@ -265,7 +265,6 @@ fn main() {
         ns.sort_unstable();
         ns
     };
-    let mut scratch = Scratch::for_model(&compiled);
     let compiled_ns = per_query(&mut |q| compiled.classify(q, &mut scratch));
     let reference_ns = per_query(&mut |q| model.classify(q));
     // Shared nearest-rank helper: the old truncating index under-reported

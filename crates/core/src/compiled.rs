@@ -15,11 +15,16 @@
 //!   `andnot_len(mask, query) / len` and a `Pos` list's is
 //!   `intersection_len(mask, query) / len` — pure AND(+NOT)+popcount
 //!   kernels at a few instructions per 64 items;
-//! * per-query working memory lives in a caller-owned [`Scratch`] (flat
+//! * one loop computes class values: the **batch sweep**, outer over
+//!   compiled columns (in cache-sized blocks), inner over queries, so a
+//!   column's masks stream through cache once per batch. A per-query call
+//!   is the sweep over a one-query slice, and a pooled call splits the
+//!   query dimension across [`pool`] lanes, one sweep per lane;
+//! * all working memory lives in one caller-owned [`Scratch`] (per-lane
 //!   `f64` arenas for the per-unique-list satisfactions and their (c, h)
 //!   fan-out, reusable bitsets for the shared-items intersection and the
-//!   Min coverage sweep), so steady-state classification performs **zero
-//!   heap allocations per query**;
+//!   Min coverage sweep, and the per-query class-value arena), so
+//!   steady-state classification performs **zero heap allocations**;
 //! * for the paper's default Min arithmetization, each column's cell
 //!   values are produced by a *coverage sweep* — out-samples visited in
 //!   ascending satisfaction order, each claiming its still-unassigned
@@ -30,10 +35,11 @@
 //! the same integers the reference scalar loops produce, every division
 //! and combine runs in the same order, and blank columns are skipped on
 //! both paths — so compiled class values are **bit-identical** to
-//! [`BstcModel::class_values`] for all three [`Arithmetization`] variants
-//! (enforced by the differential property test in
-//! `tests/prop_compiled.rs`). Complexity is unchanged from Algorithm 5;
-//! only the constant shrinks.
+//! [`BstcModel::class_values`] for all three [`Arithmetization`] variants,
+//! at every block size and lane count (enforced by the differential
+//! property tests in `tests/prop_compiled.rs`, whose oracle is the
+//! reference path). Complexity is unchanged from Algorithm 5; only the
+//! constant shrinks.
 
 use crate::bar::Sign;
 use crate::bst::Bst;
@@ -46,9 +52,9 @@ use microarray::{BitSet, ClassId, SampleId};
 /// Default byte budget of one column block of the batch sweep — sized to
 /// half a typical 2 MiB L2 so a block's masks stay L2-resident across the
 /// whole query dimension while leaving room for the queries themselves
-/// and the per-query scratch. Overridable per scratch
-/// ([`BatchScratch::set_block_bytes`], surfaced as `--kernel-block-bytes`
-/// on the CLI and benchmarks).
+/// and the sweep's working memory. Overridable per scratch
+/// ([`Scratch::set_block_bytes`], surfaced as `classify_bench
+/// --kernel-block-bytes`).
 pub const DEFAULT_KERNEL_BLOCK_BYTES: usize = 1 << 20;
 
 /// Minimum mask traffic (model mask bytes × queries) one pool lane must
@@ -211,44 +217,6 @@ impl CompiledBst {
         sat as f64 / len as f64
     }
 
-    /// BSTCE (Algorithm 5) against this table, using `scratch` for all
-    /// per-query working memory. Allocation-free once `scratch` has grown
-    /// to this table's shape.
-    pub fn class_value(
-        &self,
-        query: &BitSet,
-        arith: Arithmetization,
-        scratch: &mut Scratch,
-    ) -> f64 {
-        scratch.reserve_bst(self);
-        let mut col_sum = 0.0;
-        let mut cols = 0usize;
-        for c in 0..self.class_expr.len() {
-            if !self.column_satisfactions(c, query, scratch) {
-                continue; // blank column (line 13's "non-blank" filter)
-            }
-            let v_s = match arith {
-                Arithmetization::Min => self.column_value_min(c, query, scratch),
-                _ => {
-                    let mut sum = 0.0;
-                    let mut n = 0usize;
-                    for g in scratch.shared.iter() {
-                        sum += cell_value(&self.out_expr[g], &scratch.vh, arith);
-                        n += 1;
-                    }
-                    sum / n as f64 // V_s (line 14)
-                }
-            };
-            col_sum += v_s;
-            cols += 1;
-        }
-        if cols == 0 {
-            0.0 // the query shares nothing with this class
-        } else {
-            col_sum / cols as f64 // line 16
-        }
-    }
-
     /// `V_s` of a non-blank column under Min, by coverage sweep instead of
     /// per-cell reduction.
     ///
@@ -263,7 +231,7 @@ impl CompiledBst {
     /// Items no out-sample expresses are the black dots (value 1). Summing
     /// the assigned values back in item order reproduces the reference
     /// path's float operations bit for bit.
-    fn column_value_min(&self, c: usize, query: &BitSet, scratch: &mut Scratch) -> f64 {
+    fn column_value_min(&self, c: usize, query: &BitSet, lane: &mut Lane) -> f64 {
         // The sweep orders *distinct-list groups*, not individual
         // out-samples: every out-sample of a group carries the same
         // satisfaction (`vh[h] = per_unique[idx]`), so the per-out-sample
@@ -275,45 +243,45 @@ impl CompiledBst {
         // mapping is exactly `f64::total_cmp`'s order.
         let lo = self.col_offsets[c] as usize;
         let uniq = self.col_offsets[c + 1] as usize - lo;
-        scratch.order.clear();
+        lane.order.clear();
         for u in 0..uniq {
-            scratch.order.push((f64_total_order_key(scratch.per_unique[u]), u as u32));
+            lane.order.push((f64_total_order_key(lane.per_unique[u]), u as u32));
         }
-        scratch.order.sort_unstable();
+        lane.order.sort_unstable();
 
         // Fused kernels keep the sweep at one memory pass per step where
         // the assign / count / difference / scan forms would take four;
         // the counts are integer popcounts and the cell writes are plain
         // stores, so fusion cannot perturb a value.
-        let mut left = scratch.remaining.assign_intersection_len(query, &self.class_expr[c]);
-        for &(k, u) in scratch.order.iter() {
+        let mut left = lane.remaining.assign_intersection_len(query, &self.class_expr[c]);
+        for &(k, u) in lane.order.iter() {
             if left == 0 {
                 break;
             }
             let v = f64_from_total_order_key(k);
-            left -= scratch.remaining.carve_scatter(
+            left -= lane.remaining.carve_scatter(
                 &self.group_items[lo + u as usize],
-                &mut scratch.cells,
+                &mut lane.cells,
                 v,
             );
         }
         if left != 0 {
-            for g in scratch.remaining.iter() {
-                scratch.cells[g] = 1.0; // black dot: no out-sample expresses g
+            for g in lane.remaining.iter() {
+                lane.cells[g] = 1.0; // black dot: no out-sample expresses g
             }
         }
 
         // Same adds in the same ascending-g order as the reference path,
         // via the decoupled extract-then-add gather.
-        let (sum, n) = scratch.shared.gather_sum(&scratch.cells);
+        let (sum, n) = lane.shared.gather_sum(&lane.cells);
         sum / n as f64
     }
 
-    /// Computes column `c`'s shared-item set into `scratch.shared` and, if
-    /// non-blank, its per-out-sample satisfactions into `scratch.vh`.
+    /// Computes column `c`'s shared-item set into `lane.shared` and, if
+    /// non-blank, its per-out-sample satisfactions into `lane.vh`.
     /// Returns false for blank columns (nothing computed beyond `shared`).
-    fn column_satisfactions(&self, c: usize, query: &BitSet, scratch: &mut Scratch) -> bool {
-        if scratch.shared.assign_intersection_len(query, &self.class_expr[c]) == 0 {
+    fn column_satisfactions(&self, c: usize, query: &BitSet, lane: &mut Lane) -> bool {
+        if lane.shared.assign_intersection_len(query, &self.class_expr[c]) == 0 {
             return false;
         }
         // Distinct lists are evaluated once and fanned out to their (c, h)
@@ -321,11 +289,11 @@ impl CompiledBst {
         let lo = self.col_offsets[c] as usize;
         let hi = self.col_offsets[c + 1] as usize;
         for u in lo..hi {
-            scratch.per_unique[u - lo] = self.list_satisfaction(u, query);
+            lane.per_unique[u - lo] = self.list_satisfaction(u, query);
         }
         let idx_row = &self.idx[c * self.n_out..(c + 1) * self.n_out];
         for (h, &u) in idx_row.iter().enumerate() {
-            scratch.vh[h] = scratch.per_unique[u as usize];
+            lane.vh[h] = lane.per_unique[u as usize];
         }
         true
     }
@@ -338,35 +306,35 @@ impl CompiledBst {
     /// baseline that quietly inherits the fused kernels; bit-identity
     /// with the live path is enforced by `tests/prop_compiled.rs`.
     /// Not part of the serving API.
-    fn column_value_min_legacy(&self, c: usize, query: &BitSet, scratch: &mut Scratch) -> f64 {
-        scratch.order_f64.clear();
+    fn column_value_min_legacy(&self, c: usize, query: &BitSet, lane: &mut Lane) -> f64 {
+        lane.order_f64.clear();
         for h in 0..self.n_out {
-            scratch.order_f64.push((scratch.vh[h], h as u32));
+            lane.order_f64.push((lane.vh[h], h as u32));
         }
-        scratch.order_f64.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        lane.order_f64.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
 
-        scratch.remaining.assign_intersection(query, &self.class_expr[c]);
-        let mut left = scratch.remaining.len();
-        for &(v, h) in scratch.order_f64.iter() {
+        lane.remaining.assign_intersection(query, &self.class_expr[c]);
+        let mut left = lane.remaining.len();
+        for &(v, h) in lane.order_f64.iter() {
             if left == 0 {
                 break;
             }
             let expr = &self.out_items[h as usize];
-            scratch.newly.assign_intersection(&scratch.remaining, expr);
-            for g in scratch.newly.iter() {
-                scratch.cells[g] = v;
+            lane.newly.assign_intersection(&lane.remaining, expr);
+            for g in lane.newly.iter() {
+                lane.cells[g] = v;
             }
-            left -= scratch.newly.len();
-            scratch.remaining.difference_with(expr);
+            left -= lane.newly.len();
+            lane.remaining.difference_with(expr);
         }
-        for g in scratch.remaining.iter() {
-            scratch.cells[g] = 1.0; // black dot: no out-sample expresses g
+        for g in lane.remaining.iter() {
+            lane.cells[g] = 1.0; // black dot: no out-sample expresses g
         }
 
         let mut sum = 0.0;
         let mut n = 0usize;
-        for g in scratch.shared.iter() {
-            sum += scratch.cells[g];
+        for g in lane.shared.iter() {
+            sum += lane.cells[g];
             n += 1;
         }
         sum / n as f64
@@ -375,56 +343,52 @@ impl CompiledBst {
     /// [`CompiledBst::column_satisfactions`] with the pre-SIMD two-pass
     /// blank check (assign, then emptiness scan). Baseline counterpart of
     /// [`CompiledBst::column_value_min_legacy`].
-    fn column_satisfactions_legacy(&self, c: usize, query: &BitSet, scratch: &mut Scratch) -> bool {
-        scratch.shared.assign_intersection(query, &self.class_expr[c]);
-        if scratch.shared.is_empty() {
+    fn column_satisfactions_legacy(&self, c: usize, query: &BitSet, lane: &mut Lane) -> bool {
+        lane.shared.assign_intersection(query, &self.class_expr[c]);
+        if lane.shared.is_empty() {
             return false;
         }
         let lo = self.col_offsets[c] as usize;
         let hi = self.col_offsets[c + 1] as usize;
         for u in lo..hi {
-            scratch.per_unique[u - lo] = self.list_satisfaction(u, query);
+            lane.per_unique[u - lo] = self.list_satisfaction(u, query);
         }
         let idx_row = &self.idx[c * self.n_out..(c + 1) * self.n_out];
         for (h, &u) in idx_row.iter().enumerate() {
-            scratch.vh[h] = scratch.per_unique[u as usize];
+            lane.vh[h] = lane.per_unique[u as usize];
         }
         true
     }
-}
-
-impl CompiledBst {
-    /// The batch sweep: evaluates this table against *every* query of a
-    /// batch in one pass over the compiled masks, with the loop order
-    /// inverted relative to [`CompiledBst::class_value`] — **outer over
-    /// compiled columns, inner over queries** — so each column's mask
-    /// block is loaded from memory once and stays cache-resident while
-    /// it serves the whole batch. Per-query model traffic drops from
-    /// `|model|` to `|model| / batch`, which is the whole point of
-    /// cross-connection micro-batching: the serving hot path is
-    /// memory-bound on the mask tables, not compute-bound.
+    /// The batch sweep, the one loop that computes class values: evaluates
+    /// this table against *every* query of `queries` in one pass over the
+    /// compiled masks, **outer over compiled columns, inner over
+    /// queries**, so each column's mask block is loaded from memory once
+    /// and stays cache-resident while it serves the whole batch.
+    /// Per-query model traffic drops from `|model|` to `|model| / batch`,
+    /// which is the whole point of batching: classification is
+    /// memory-bound on the mask tables, not compute-bound. A per-query
+    /// call is the sweep over a one-query slice.
     ///
-    /// Per query the arithmetic is *identical* to the per-query kernel —
-    /// the same column computations run in the same ascending column
-    /// order, so each query's `col_sum` accumulates in exactly the order
-    /// `class_value` uses and the result is **bit-identical** (enforced
-    /// by `tests/prop_compiled.rs` across all three arithmetizations).
+    /// Each query's `col_sum` accumulates its non-blank column values in
+    /// ascending column order, exactly as Algorithm 5 line 16 sums them
+    /// in [`BstcModel::class_values`], so the result is **bit-identical**
+    /// to the reference (enforced by `tests/prop_compiled.rs` across all
+    /// three arithmetizations).
     ///
     /// ## Column blocking
     ///
-    /// Columns are processed in **blocks sized to
-    /// [`BatchScratch::set_block_bytes`]** (default
+    /// Columns are processed in blocks of at most `block_budget` mask
+    /// bytes ([`Scratch::set_block_bytes`], default
     /// [`DEFAULT_KERNEL_BLOCK_BYTES`], ≈ L2/2): each block's masks are
     /// swept across *all* queries before the next block is touched, so a
     /// model whose total masks spill the LLC still streams every mask
     /// exactly once per batch while the block stays cache-resident for
-    /// the whole query dimension. Per-query `col_sum` accumulation still
-    /// happens in ascending column order (blocks ascend, columns within
-    /// a block ascend), so blocking reorders only *which query* runs
-    /// next, never a query's own float operations — bit-identity is
+    /// the whole query dimension. Blocks ascend and columns within a
+    /// block ascend, so blocking reorders only *which query* runs next,
+    /// never a query's own float operations — bit-identity is
     /// structural, for every block size.
     ///
-    /// Fills `scratch.col_sum` / `scratch.cols`, one slot per query.
+    /// Fills `lane.col_sum` / `lane.cols`, one slot per query.
     /// With `LEGACY` set, every per-column computation routes through the
     /// frozen pre-SIMD kernels (benchmark baseline only); the flag is a
     /// const generic so the live sweep's codegen carries no baseline
@@ -433,15 +397,14 @@ impl CompiledBst {
         &self,
         queries: &[BitSet],
         arith: Arithmetization,
-        scratch: &mut BatchScratch,
+        lane: &mut Lane,
+        block_budget: usize,
     ) {
-        scratch.inner.reserve_bst(self);
-        scratch.col_sum.clear();
-        scratch.col_sum.resize(queries.len(), 0.0);
-        scratch.cols.clear();
-        scratch.cols.resize(queries.len(), 0);
-        let block_budget =
-            if scratch.block_bytes == 0 { DEFAULT_KERNEL_BLOCK_BYTES } else { scratch.block_bytes };
+        lane.reserve_bst(self);
+        lane.col_sum.clear();
+        lane.col_sum.resize(queries.len(), 0.0);
+        lane.cols.clear();
+        lane.cols.resize(queries.len(), 0);
         let n_cols = self.class_expr.len();
         let mut c0 = 0;
         while c0 < n_cols {
@@ -460,140 +423,34 @@ impl CompiledBst {
             for (qi, query) in queries.iter().enumerate() {
                 for c in c0..c1 {
                     let nonblank = if LEGACY {
-                        self.column_satisfactions_legacy(c, query, &mut scratch.inner)
+                        self.column_satisfactions_legacy(c, query, lane)
                     } else {
-                        self.column_satisfactions(c, query, &mut scratch.inner)
+                        self.column_satisfactions(c, query, lane)
                     };
                     if !nonblank {
-                        continue; // blank column for this query
+                        continue; // blank column (line 13's "non-blank" filter)
                     }
                     let v_s = match arith {
                         Arithmetization::Min if LEGACY => {
-                            self.column_value_min_legacy(c, query, &mut scratch.inner)
+                            self.column_value_min_legacy(c, query, lane)
                         }
-                        Arithmetization::Min => self.column_value_min(c, query, &mut scratch.inner),
+                        Arithmetization::Min => self.column_value_min(c, query, lane),
                         _ => {
                             let mut sum = 0.0;
                             let mut n = 0usize;
-                            for g in scratch.inner.shared.iter() {
-                                sum += cell_value(&self.out_expr[g], &scratch.inner.vh, arith);
+                            for g in lane.shared.iter() {
+                                sum += cell_value(&self.out_expr[g], &lane.vh, arith);
                                 n += 1;
                             }
-                            sum / n as f64
+                            sum / n as f64 // V_s (line 14)
                         }
                     };
-                    scratch.col_sum[qi] += v_s;
-                    scratch.cols[qi] += 1;
+                    lane.col_sum[qi] += v_s;
+                    lane.cols[qi] += 1;
                 }
             }
             c0 = c1;
         }
-    }
-}
-
-/// Reusable working memory for the batch-sweep kernel: the per-(column,
-/// query) temporaries of a single [`Scratch`] plus flat per-query
-/// accumulator arenas. Like [`Scratch`], buffers grow to the largest
-/// (model shape, batch size) seen and are then reused, so steady-state
-/// batch classification performs **zero heap allocations** (asserted by
-/// `tests/alloc_free.rs`).
-#[derive(Clone, Debug, Default)]
-pub struct BatchScratch {
-    /// Per-(column, query) temporaries, shared across the batch.
-    inner: Scratch,
-    /// Per-query running sum of non-blank column values (`Σ V_s`).
-    col_sum: Vec<f64>,
-    /// Per-query count of non-blank columns.
-    cols: Vec<u32>,
-    /// Class values of the last batch, `values[q * n_classes + class]`.
-    values: Vec<f64>,
-    /// Stride of `values` (classes of the last model evaluated).
-    n_classes: usize,
-    /// Column-block byte budget of the sweep; 0 means
-    /// [`DEFAULT_KERNEL_BLOCK_BYTES`].
-    block_bytes: usize,
-}
-
-impl BatchScratch {
-    /// An empty batch scratch; buffers are grown on first use.
-    pub fn new() -> BatchScratch {
-        BatchScratch::default()
-    }
-
-    /// Pre-sizes the per-model buffers (the per-batch arenas still grow
-    /// on the first batch of each size).
-    pub fn for_model(model: &CompiledModel) -> BatchScratch {
-        BatchScratch { inner: Scratch::for_model(model), ..BatchScratch::default() }
-    }
-
-    /// Sets the column-block byte budget of the batch sweep
-    /// (`--kernel-block-bytes`); 0 restores
-    /// [`DEFAULT_KERNEL_BLOCK_BYTES`]. Affects cache behavior only —
-    /// results are bit-identical for every block size.
-    pub fn set_block_bytes(&mut self, bytes: usize) {
-        self.block_bytes = bytes;
-    }
-
-    /// Class values of query `q` from the most recent
-    /// [`CompiledModel::class_values_batch_into`] call, indexed by
-    /// `ClassId`.
-    pub fn values_of(&self, q: usize) -> &[f64] {
-        &self.values[q * self.n_classes..(q + 1) * self.n_classes]
-    }
-}
-
-/// Reusable working memory for the **multi-core** batch kernel: one
-/// [`BatchScratch`] per pool lane plus a shared per-query class-value
-/// arena the lanes write disjoint chunks of. Like the other scratches,
-/// every buffer grows to the largest (model, batch, lane-count) shape
-/// seen and is then reused — steady-state pooled batch classification
-/// performs **zero heap allocations** (asserted by
-/// `tests/alloc_free.rs`).
-#[derive(Debug, Default)]
-pub struct ParBatchScratch {
-    /// Per-lane sweep scratches; lane `i` of a pooled call owns slot `i`.
-    lanes: Vec<BatchScratch>,
-    /// Class values of the last batch, `values[q * n_classes + class]`.
-    values: Vec<f64>,
-    /// Stride of `values` (classes of the last model evaluated).
-    n_classes: usize,
-    /// Column-block byte budget, propagated to every lane; 0 means
-    /// [`DEFAULT_KERNEL_BLOCK_BYTES`].
-    block_bytes: usize,
-}
-
-impl ParBatchScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> ParBatchScratch {
-        ParBatchScratch::default()
-    }
-
-    /// Pre-sizes `lanes` sweep scratches for `model` (the per-batch
-    /// arenas still grow on the first batch of each size).
-    pub fn for_model(model: &CompiledModel, lanes: usize) -> ParBatchScratch {
-        ParBatchScratch {
-            lanes: (0..lanes.max(1)).map(|_| BatchScratch::for_model(model)).collect(),
-            ..ParBatchScratch::default()
-        }
-    }
-
-    /// Sets the column-block byte budget of every lane's sweep
-    /// (`--kernel-block-bytes`); 0 restores
-    /// [`DEFAULT_KERNEL_BLOCK_BYTES`].
-    pub fn set_block_bytes(&mut self, bytes: usize) {
-        self.block_bytes = bytes;
-    }
-
-    /// The configured column-block byte budget (0 = default).
-    pub fn block_bytes(&self) -> usize {
-        self.block_bytes
-    }
-
-    /// Class values of query `q` from the most recent
-    /// [`CompiledModel::class_values_batch_par_into`] call, indexed by
-    /// `ClassId`.
-    pub fn values_of(&self, q: usize) -> &[f64] {
-        &self.values[q * self.n_classes..(q + 1) * self.n_classes]
     }
 }
 
@@ -626,84 +483,50 @@ fn cell_value(out: &BitSet, vh: &[f64], arith: Arithmetization) -> f64 {
     arith.combine(out.iter().map(|h| vh[h]))
 }
 
-/// Reusable per-thread working memory for compiled classification.
-///
-/// Create one per worker thread ([`Scratch::new`] is trivially cheap) and
-/// pass it to every call; buffers grow to the largest model shape seen and
-/// are then reused, so the steady state performs no per-query heap
-/// allocation. A scratch may be shared across models — it simply regrows
-/// when a larger one arrives (e.g. after a serve-time hot reload).
+/// One lane's working memory for the batch sweep: the per-(column,
+/// query) temporaries, reused across the batch, and the per-query
+/// accumulators. Buffers grow to the largest model shape and batch seen.
 #[derive(Clone, Debug)]
-pub struct Scratch {
+struct Lane {
     /// Satisfaction per distinct list of the current column.
     per_unique: Vec<f64>,
     /// The column's satisfactions fanned out per local out-sample.
     vh: Vec<f64>,
     /// Reusable `query ∩ column` intersection buffer.
     shared: BitSet,
-    /// Per-class classification values of the last query.
-    values: Vec<f64>,
     /// Min sweep: per-item cell values of the current column.
     cells: Vec<f64>,
     /// Min sweep: shared items not yet covered by an out-sample.
     remaining: BitSet,
-    /// Min sweep: items covered by the current out-sample.
+    /// Legacy Min sweep: items covered by the current out-sample.
     newly: BitSet,
-    /// Min sweep: (total-order satisfaction key, out-sample) pairs,
-    /// sorted ascending — see [`f64_total_order_key`].
+    /// Min sweep: (total-order satisfaction key, group) pairs, sorted
+    /// ascending — see [`f64_total_order_key`].
     order: Vec<(u64, u32)>,
     /// Float-keyed sort buffer of the frozen benchmark baseline
     /// (`column_value_min_legacy`); empty unless the legacy path runs.
     order_f64: Vec<(f64, u32)>,
+    /// Per-query running sum of non-blank column values (`Σ V_s`).
+    col_sum: Vec<f64>,
+    /// Per-query count of non-blank columns.
+    cols: Vec<u32>,
 }
 
-/// Maps an `f64` to a `u64` whose unsigned order is exactly
-/// [`f64::total_cmp`]'s order (the IEEE 754 totalOrder trick: flip all
-/// bits of negatives, flip only the sign bit of non-negatives), so the
-/// Min sweep can sort plain integers.
-#[inline]
-fn f64_total_order_key(v: f64) -> u64 {
-    let b = v.to_bits();
-    b ^ ((((b as i64) >> 63) as u64) | 0x8000_0000_0000_0000)
-}
-
-/// Inverse of [`f64_total_order_key`], bit-exact.
-#[inline]
-fn f64_from_total_order_key(k: u64) -> f64 {
-    f64::from_bits(k ^ (if k >> 63 == 1 { 0x8000_0000_0000_0000 } else { !0u64 }))
-}
-
-impl Default for Scratch {
-    fn default() -> Scratch {
-        Scratch::new()
-    }
-}
-
-impl Scratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Scratch {
-        Scratch {
+impl Lane {
+    /// An empty lane; buffers are grown on first use.
+    fn new() -> Lane {
+        Lane {
             per_unique: Vec::new(),
             vh: Vec::new(),
             shared: BitSet::new(0),
-            values: Vec::new(),
             cells: Vec::new(),
             remaining: BitSet::new(0),
             newly: BitSet::new(0),
             order: Vec::new(),
             order_f64: Vec::new(),
+            col_sum: Vec::new(),
+            cols: Vec::new(),
         }
-    }
-
-    /// Pre-sizes every buffer for `model`, so even the first query is
-    /// allocation-free.
-    pub fn for_model(model: &CompiledModel) -> Scratch {
-        let mut s = Scratch::new();
-        for bst in &model.bsts {
-            s.reserve_bst(bst);
-        }
-        s.values.resize(model.n_classes(), 0.0);
-        s
     }
 
     /// Grows the per-column buffers to fit `bst` (no-op once large enough).
@@ -737,11 +560,125 @@ impl Scratch {
         }
     }
 
-    /// Class values of the most recent
-    /// [`CompiledModel::class_values_into`] / [`CompiledModel::classify`]
-    /// call, indexed by `ClassId`.
+    /// Query `qi`'s class value from the last sweep (Algorithm 5 line 16).
+    #[inline]
+    fn class_value(&self, qi: usize) -> f64 {
+        if self.cols[qi] == 0 {
+            0.0 // the query shares nothing with this class
+        } else {
+            self.col_sum[qi] / self.cols[qi] as f64
+        }
+    }
+}
+
+/// Reusable working memory for compiled classification — the one scratch
+/// every per-query, batch and pooled call takes.
+///
+/// It holds one sweep lane per pool lane (lane 0 serves per-query and
+/// single-lane calls), the per-query class-value arena the lanes write
+/// disjoint chunks of, and the column-block budget. Create one per
+/// thread ([`Scratch::new`] allocates nothing) and pass it to every
+/// call; buffers grow to the largest (model shape, batch size, lane
+/// count) seen and are then reused, so steady-state classification
+/// performs **zero heap allocations** (asserted by
+/// `tests/alloc_free.rs`). A scratch may be shared across models — it
+/// simply regrows when a larger one arrives (e.g. after a serve-time hot
+/// reload).
+#[derive(Clone, Debug, Default)]
+pub struct Scratch {
+    /// Per-lane sweep memory; lane `i` of a pooled call owns slot `i`.
+    lanes: Vec<Lane>,
+    /// Class values of the last call, `values[q * n_classes + class]`.
+    values: Vec<f64>,
+    /// Stride of `values` (classes of the last model evaluated).
+    n_classes: usize,
+    /// Column-block byte budget of the sweep; 0 means
+    /// [`DEFAULT_KERNEL_BLOCK_BYTES`].
+    block_bytes: usize,
+}
+
+/// Maps an `f64` to a `u64` whose unsigned order is exactly
+/// [`f64::total_cmp`]'s order (the IEEE 754 totalOrder trick: flip all
+/// bits of negatives, flip only the sign bit of non-negatives), so the
+/// Min sweep can sort plain integers.
+#[inline]
+fn f64_total_order_key(v: f64) -> u64 {
+    let b = v.to_bits();
+    b ^ ((((b as i64) >> 63) as u64) | 0x8000_0000_0000_0000)
+}
+
+/// Inverse of [`f64_total_order_key`], bit-exact.
+#[inline]
+fn f64_from_total_order_key(k: u64) -> f64 {
+    f64::from_bits(k ^ (if k >> 63 == 1 { 0x8000_0000_0000_0000 } else { !0u64 }))
+}
+
+impl Scratch {
+    /// An empty scratch; buffers are grown on first use.
+    pub fn new() -> Scratch {
+        Scratch::default()
+    }
+
+    /// Pre-sizes lane 0 and the class-value arena for one query against
+    /// `model`, so even the first per-query call is allocation-free.
+    pub fn for_model(model: &CompiledModel) -> Scratch {
+        let mut scratch = Scratch::new();
+        scratch.prepare(model.n_classes(), 1, 1);
+        for bst in &model.bsts {
+            scratch.lanes[0].reserve_bst(bst);
+        }
+        scratch
+    }
+
+    /// Sets the column-block byte budget of the sweep
+    /// (`classify_bench --kernel-block-bytes`); 0 restores
+    /// [`DEFAULT_KERNEL_BLOCK_BYTES`]. Affects cache behavior only —
+    /// results are bit-identical for every block size.
+    pub fn set_block_bytes(&mut self, bytes: usize) {
+        self.block_bytes = bytes;
+    }
+
+    /// Class values of the most recent call, query-major and indexed by
+    /// `ClassId` within a query — after a per-query call
+    /// ([`CompiledModel::class_values_into`], [`CompiledModel::classify`])
+    /// exactly one value per class.
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// Class values of query `q` of the most recent batch call
+    /// ([`CompiledModel::class_values_batch_into`]), indexed by `ClassId`.
+    pub fn values_of(&self, q: usize) -> &[f64] {
+        &self.values[q * self.n_classes..(q + 1) * self.n_classes]
+    }
+
+    /// The column-block byte budget the sweep runs with.
+    fn block_budget(&self) -> usize {
+        if self.block_bytes == 0 {
+            DEFAULT_KERNEL_BLOCK_BYTES
+        } else {
+            self.block_bytes
+        }
+    }
+
+    /// Lane 0, grown on first use.
+    fn lane0(&mut self) -> &mut Lane {
+        if self.lanes.is_empty() {
+            self.lanes.push(Lane::new());
+        }
+        &mut self.lanes[0]
+    }
+
+    /// Sizes the class-value arena for `n_queries` × `n_classes` and
+    /// grows to at least `lanes` lanes; returns the column-block budget.
+    /// Every arena slot is overwritten by the sweep that follows.
+    fn prepare(&mut self, n_classes: usize, n_queries: usize, lanes: usize) -> usize {
+        self.n_classes = n_classes;
+        self.values.resize(n_queries * n_classes, 0.0);
+        if self.lanes.len() < lanes {
+            self.lanes.resize_with(lanes, Lane::new);
+        }
+        self.block_budget()
     }
 }
 
@@ -783,21 +720,25 @@ impl CompiledModel {
         &self.bsts[class]
     }
 
-    /// BSTCE classification value of `query` against one class.
+    /// BSTCE classification value of `query` against one class: that
+    /// class's sweep over a one-query slice, on lane 0 of `scratch`.
     pub fn class_value(&self, class: ClassId, query: &BitSet, scratch: &mut Scratch) -> f64 {
-        self.bsts[class].class_value(query, self.arith, scratch)
+        let budget = scratch.block_budget();
+        let lane = scratch.lane0();
+        self.bsts[class].batch_sweep::<false>(
+            std::slice::from_ref(query),
+            self.arith,
+            lane,
+            budget,
+        );
+        lane.class_value(0)
     }
 
     /// Computes every class value into `scratch` (read them back via
-    /// [`Scratch::values`]). Allocation-free in the steady state.
+    /// [`Scratch::values`]) by sweeping a one-query slice.
+    /// Allocation-free in the steady state.
     pub fn class_values_into(&self, query: &BitSet, scratch: &mut Scratch) {
-        if scratch.values.len() != self.bsts.len() {
-            scratch.values.resize(self.bsts.len(), 0.0);
-        }
-        for (i, bst) in self.bsts.iter().enumerate() {
-            let v = bst.class_value(query, self.arith, scratch);
-            scratch.values[i] = v;
-        }
+        self.sweep::<false>(std::slice::from_ref(query), scratch);
     }
 
     /// Classification values for every class, indexed by `ClassId`
@@ -822,62 +763,43 @@ impl CompiledModel {
         confidence_gap_of(&scratch.values)
     }
 
-    /// Computes every class value of every query in `queries` with the
-    /// inverted batch-sweep kernel — each class table's masks stream
-    /// through cache once for the whole batch instead of once per query.
-    /// Read the results back via [`BatchScratch::values_of`].
-    /// Allocation-free once `scratch` has grown to this model's shape and
-    /// the batch size. Bit-identical to calling
-    /// [`CompiledModel::class_values_into`] per query.
-    pub fn class_values_batch_into(&self, queries: &[BitSet], scratch: &mut BatchScratch) {
-        self.batch_into::<false>(queries, scratch)
+    /// Runs every class's sweep over `queries` on lane 0 of `scratch`,
+    /// filling its class-value arena.
+    fn sweep<const LEGACY: bool>(&self, queries: &[BitSet], scratch: &mut Scratch) {
+        let budget = scratch.prepare(self.bsts.len(), queries.len(), 1);
+        self.sweep_lane::<LEGACY>(queries, &mut scratch.lanes[0], budget, &mut scratch.values);
     }
 
-    /// [`CompiledModel::class_values_batch_into`] routed through the
-    /// frozen pre-SIMD per-column kernels (`*_legacy`): the separate
-    /// assign / count / difference passes and `total_cmp` float sort the
-    /// sweep used before the fused SIMD kernels landed. This is the
-    /// baseline `classify_bench` times for `kernel_speedup` — measuring
-    /// the live path with vectorization disabled would still credit the
-    /// baseline with the pass-fusion wins and understate the change.
-    /// Bit-identical to the live path (`tests/prop_compiled.rs`); not
-    /// part of the serving API.
-    #[doc(hidden)]
-    pub fn class_values_batch_into_legacy(&self, queries: &[BitSet], scratch: &mut BatchScratch) {
-        self.batch_into::<true>(queries, scratch)
-    }
-
-    fn batch_into<const LEGACY: bool>(&self, queries: &[BitSet], scratch: &mut BatchScratch) {
-        scratch.n_classes = self.bsts.len();
-        let n = queries.len() * self.bsts.len();
-        scratch.values.clear();
-        scratch.values.resize(n, 0.0);
+    /// Runs every class's sweep over `queries` on `lane`, writing the
+    /// class values to `values[q * n_classes + class]`.
+    fn sweep_lane<const LEGACY: bool>(
+        &self,
+        queries: &[BitSet],
+        lane: &mut Lane,
+        block_budget: usize,
+        values: &mut [f64],
+    ) {
+        let n_classes = self.bsts.len();
         for (class, bst) in self.bsts.iter().enumerate() {
-            bst.batch_sweep::<LEGACY>(queries, self.arith, scratch);
+            bst.batch_sweep::<LEGACY>(queries, self.arith, lane, block_budget);
             for qi in 0..queries.len() {
-                let v = if scratch.cols[qi] == 0 {
-                    0.0 // the query shares nothing with this class
-                } else {
-                    scratch.col_sum[qi] / scratch.cols[qi] as f64
-                };
-                scratch.values[qi * scratch.n_classes + class] = v;
+                values[qi * n_classes + class] = lane.class_value(qi);
             }
         }
     }
 
-    /// Batch form of [`CompiledModel::classify`]: predictions for every
-    /// query of a batch via one model pass, appended to `out` (cleared
-    /// first). Argmax ties break to the smallest class index, exactly as
-    /// the per-query path. Allocation-free in the steady state.
-    pub fn classify_batch_into(
-        &self,
-        queries: &[BitSet],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<ClassId>,
-    ) {
-        self.class_values_batch_into(queries, scratch);
-        out.clear();
-        out.extend((0..queries.len()).map(|qi| select_class(scratch.values_of(qi))));
+    /// [`CompiledModel::class_values_batch_into`] on one lane, routed
+    /// through the frozen pre-SIMD per-column kernels (`*_legacy`): the
+    /// separate assign / count / difference passes and `total_cmp` float
+    /// sort the sweep used before the fused SIMD kernels landed. This is
+    /// the baseline `classify_bench` times for `kernel_speedup` —
+    /// measuring the live path with vectorization disabled would still
+    /// credit the baseline with the pass-fusion wins and understate the
+    /// change. Bit-identical to the live path (`tests/prop_compiled.rs`);
+    /// not part of the serving API.
+    #[doc(hidden)]
+    pub fn class_values_batch_into_legacy(&self, queries: &[BitSet], scratch: &mut Scratch) {
+        self.sweep::<true>(queries, scratch)
     }
 
     /// Total bytes of the compiled mask tables across every class — the
@@ -900,56 +822,46 @@ impl CompiledModel {
         by_work.clamp(1, pool_lanes.min(n_queries.max(1)))
     }
 
-    /// Multi-core form of [`CompiledModel::class_values_batch_into`]: the
-    /// query dimension is split into contiguous chunks across `pool`
-    /// lanes, each lane running the blocked column-outer sweep over its
-    /// chunk with its own [`BatchScratch`] — so per-lane loop order (and
-    /// hence every query's float-operation order) is exactly the
-    /// single-threaded kernel's, and results are **bit-identical** to N
-    /// per-query calls regardless of lane count. Read results back via
-    /// [`ParBatchScratch::values_of`]. Allocation-free once `scratch` has
-    /// grown to the model shape, batch size, and lane count. Batches
-    /// whose total mask traffic is below the parallel grain stay on the
+    /// Computes every class value of every query in `queries` — the one
+    /// batch entry. The query dimension is split into contiguous chunks
+    /// across `pool` lanes, each lane running the blocked column-outer
+    /// sweep over its chunk with its own lane of `scratch` and writing
+    /// its chunk of the class-value arena directly. Per-lane loop order
+    /// (and hence every query's float-operation order) is exactly the
+    /// one-lane sweep's, so results are **bit-identical** to the
+    /// reference regardless of lane count. Read results back via
+    /// [`Scratch::values_of`]. Allocation-free once `scratch` has grown
+    /// to the model shape, batch size, and lane count. Batches whose
+    /// total mask traffic is below the parallel grain stay on the
     /// calling thread.
-    pub fn class_values_batch_par_into(
+    pub fn class_values_batch_into(
         &self,
         queries: &[BitSet],
         pool: &WorkerPool,
-        scratch: &mut ParBatchScratch,
+        scratch: &mut Scratch,
     ) {
         let lanes = self.parallel_lanes(queries.len(), pool.lanes());
-        self.class_values_batch_par_into_lanes(queries, pool, scratch, lanes);
+        self.class_values_batch_into_lanes(queries, pool, scratch, lanes);
     }
 
-    /// [`CompiledModel::class_values_batch_par_into`] with the lane count
+    /// [`CompiledModel::class_values_batch_into`] with the lane count
     /// pinned instead of derived from mask traffic. Exposed for tests
     /// that need the multi-lane path on models far below the parallel
     /// grain; not part of the public API.
     #[doc(hidden)]
-    pub fn class_values_batch_par_into_lanes(
+    pub fn class_values_batch_into_lanes(
         &self,
         queries: &[BitSet],
         pool: &WorkerPool,
-        scratch: &mut ParBatchScratch,
+        scratch: &mut Scratch,
         lanes: usize,
     ) {
-        let n_classes = self.bsts.len();
-        scratch.n_classes = n_classes;
-        scratch.values.clear();
-        scratch.values.resize(queries.len() * n_classes, 0.0);
         let lanes = lanes.clamp(1, pool.lanes().min(queries.len().max(1)));
-        if scratch.lanes.len() < lanes {
-            scratch.lanes.resize_with(lanes, BatchScratch::new);
+        if lanes == 1 {
+            return self.sweep::<false>(queries, scratch);
         }
-        for lane in &mut scratch.lanes {
-            lane.block_bytes = scratch.block_bytes;
-        }
-        if lanes <= 1 {
-            let lane = &mut scratch.lanes[0];
-            self.class_values_batch_into(queries, lane);
-            scratch.values.copy_from_slice(&lane.values[..queries.len() * n_classes]);
-            return;
-        }
+        let n_classes = self.bsts.len();
+        let budget = scratch.prepare(n_classes, queries.len(), lanes);
         let chunk = queries.len().div_ceil(lanes);
         let lanes_ptr = SendPtr(scratch.lanes.as_mut_ptr());
         let values_ptr = SendPtr(scratch.values.as_mut_ptr());
@@ -964,43 +876,40 @@ impl CompiledModel {
             // `scratch.lanes[i]` and the `values` range of its query
             // chunk; `pool.run` returns only after every task finished.
             let lane = unsafe { &mut *lanes_ptr.get().add(i) };
-            self.class_values_batch_into(&queries[start..end], lane);
-            let dst = unsafe {
+            let values = unsafe {
                 std::slice::from_raw_parts_mut(
                     values_ptr.get().add(start * n_classes),
                     (end - start) * n_classes,
                 )
             };
-            dst.copy_from_slice(&lane.values[..(end - start) * n_classes]);
+            self.sweep_lane::<false>(&queries[start..end], lane, budget, values);
         });
     }
 
-    /// Batch classification over the shared worker pool: predictions for
-    /// every query, appended to `out` (cleared first), computed by the
-    /// blocked multi-core sweep. Argmax ties break to the smallest class
-    /// index, exactly as the per-query path. Allocation-free in the
-    /// steady state.
-    pub fn classify_batch_par_into(
+    /// Argmax form of [`CompiledModel::class_values_batch_into`]:
+    /// predictions for every query, appended to `out` (cleared first).
+    /// Argmax ties break to the smallest class index, exactly as the
+    /// per-query path. Allocation-free in the steady state.
+    pub fn classify_batch_into(
         &self,
         queries: &[BitSet],
         pool: &WorkerPool,
-        scratch: &mut ParBatchScratch,
+        scratch: &mut Scratch,
         out: &mut Vec<ClassId>,
     ) {
-        self.class_values_batch_par_into(queries, pool, scratch);
+        self.class_values_batch_into(queries, pool, scratch);
         out.clear();
         out.extend((0..queries.len()).map(|qi| select_class(scratch.values_of(qi))));
     }
 
-    /// Classifies a batch with the blocked batch-sweep kernel, fanned out
-    /// across the process-wide worker pool ([`pool::global`]) with one
-    /// [`BatchScratch`] per lane. Batches too small to amortize a lane
-    /// handoff (by mask traffic, not query count) stay on the calling
-    /// thread.
+    /// Classifies a batch through [`CompiledModel::classify_batch_into`]
+    /// on the process-wide worker pool ([`pool::global`]) with a fresh
+    /// [`Scratch`]. Batches too small to amortize a lane handoff (by mask
+    /// traffic, not query count) stay on the calling thread.
     pub fn classify_all(&self, queries: &[BitSet]) -> Vec<ClassId> {
-        let mut scratch = ParBatchScratch::new();
+        let mut scratch = Scratch::new();
         let mut out = Vec::with_capacity(queries.len());
-        self.classify_batch_par_into(queries, pool::global(), &mut scratch, &mut out);
+        self.classify_batch_into(queries, pool::global(), &mut scratch, &mut out);
         out
     }
 
@@ -1015,14 +924,15 @@ impl CompiledModel {
         scratch: &mut Scratch,
     ) -> Vec<CellExplanation> {
         let bst = &self.bsts[class];
-        scratch.reserve_bst(bst);
+        let lane = scratch.lane0();
+        lane.reserve_bst(bst);
         let mut out = Vec::new();
         for c in 0..bst.class_expr.len() {
-            if !bst.column_satisfactions(c, query, scratch) {
+            if !bst.column_satisfactions(c, query, lane) {
                 continue;
             }
-            for g in scratch.shared.iter() {
-                let v = cell_value(&bst.out_expr[g], &scratch.vh, self.arith);
+            for g in lane.shared.iter() {
+                let v = cell_value(&bst.out_expr[g], &lane.vh, self.arith);
                 if v >= threshold {
                     out.push(CellExplanation {
                         class,
@@ -1121,27 +1031,47 @@ mod tests {
 
     #[test]
     fn scratch_regrows_across_models() {
-        // A scratch sized for one model must transparently serve a larger
-        // one (the serve hot-reload case) and a smaller one.
-        let d = table1();
-        let small = BstcModel::train(&d).compile();
-        let big_data = microarray::synth::BoolSynthConfig {
-            name: "grow".into(),
-            n_items: 300,
-            class_sizes: vec![8, 9],
-            class_names: vec!["a".into(), "b".into()],
-            markers_per_class: 40,
-            marker_on: 0.9,
-            background_on: 0.2,
-            seed: 11,
+        // One scratch must transparently serve a larger model (the serve
+        // hot-reload case), a smaller one, and a change in class count,
+        // through the per-query, batch and pooled entries alike.
+        let grow = |n_items, class_sizes: Vec<usize>, seed| {
+            microarray::synth::BoolSynthConfig {
+                name: "grow".into(),
+                n_items,
+                class_names: (0..class_sizes.len()).map(|c| format!("c{c}")).collect(),
+                class_sizes,
+                markers_per_class: 40,
+                marker_on: 0.9,
+                background_on: 0.2,
+                seed,
+            }
+            .generate()
+        };
+        let datasets =
+            [table1(), grow(300, vec![8, 9], 11), grow(200, vec![5, 6, 4], 12), table1()];
+        let pool = WorkerPool::new(3);
+        let mut scratch = Scratch::for_model(&BstcModel::train(&datasets[0]).compile());
+        scratch.set_block_bytes(256);
+        for (step, d) in datasets.iter().enumerate() {
+            let model = BstcModel::train(d);
+            let compiled = model.compile();
+            let mut queries: Vec<BitSet> = d.samples().to_vec();
+            queries.push(BitSet::new(d.n_items()));
+            let reference: Vec<Vec<f64>> = queries.iter().map(|q| model.class_values(q)).collect();
+            for (q, want) in queries.iter().zip(&reference) {
+                assert_eq!(&compiled.class_values(q, &mut scratch), want, "step {step}");
+                assert_eq!(compiled.classify(q, &mut scratch), model.classify(q), "step {step}");
+            }
+            for lanes in [1, 3] {
+                compiled.class_values_batch_into_lanes(&queries, &pool, &mut scratch, lanes);
+                for (qi, want) in reference.iter().enumerate() {
+                    assert_eq!(scratch.values_of(qi), &want[..], "step {step} lanes {lanes}");
+                }
+            }
+            let mut predictions = Vec::new();
+            compiled.classify_batch_into(&queries, &pool, &mut scratch, &mut predictions);
+            assert_eq!(predictions, model.classify_all(&queries), "step {step}");
         }
-        .generate();
-        let big = BstcModel::train(&big_data).compile();
-        let mut scratch = Scratch::for_model(&small);
-        assert_eq!(small.classify(&section54_query(), &mut scratch), 0);
-        let q = big_data.sample(0).clone();
-        assert_eq!(big.classify(&q, &mut scratch), BstcModel::train(&big_data).classify(&q));
-        assert_eq!(small.classify(&section54_query(), &mut scratch), 0);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   (Algorithm 6), explanations (§5.3.2), and arithmetization ablations
 //!   (§8);
 //! * [`compiled`] — the word-parallel, allocation-free evaluation form
-//!   the trainer lowers into for serving (mask + popcount kernels,
-//!   reusable [`Scratch`], and a column-major batch-sweep kernel with
-//!   [`BatchScratch`] that amortizes one model pass over a whole batch);
-//!   bit-identical to the reference path.
+//!   the trainer lowers into for serving (mask + popcount kernels and one
+//!   column-major batch sweep that amortizes one model pass over a whole
+//!   batch, behind one reusable [`Scratch`]); bit-identical to the
+//!   reference path.
 //!
 //! The classifier is polynomial time/space (`O(|S|²·|G|)` to train and
 //! per-query, §3.1.1/§5.3.1), parameter-free, and multi-class.
@@ -51,7 +51,7 @@ pub use bar::{display_bar, Bar, BarAntecedent, ExclusionClause, Sign};
 pub use bst::{Bst, BstStats, Cell, ColumnLists, ExclusionList, ExclusionListRef, ListArena};
 pub use classify::{confidence_gap_of, select_class, Arithmetization, BstcModel, CellExplanation};
 pub use classify_mc2::{CompiledMc2Classifier, Mc2Classifier};
-pub use compiled::{BatchScratch, CompiledBst, CompiledModel, ParBatchScratch, Scratch};
+pub use compiled::{CompiledBst, CompiledModel, Scratch};
 pub use mine::{mine_topk, mine_topk_per_sample, Mc2Bar};
 pub use pool::WorkerPool;
 pub use row_bar::{all_row_bars, row_bar};

@@ -30,9 +30,10 @@
 //!   job.
 //!
 //! One process-wide pool ([`global`]) sized to `available_parallelism`
-//! lanes runs BST construction, CV replicates, batch classification and
-//! the serve batcher, so the process never oversubscribes cores no
-//! matter how many subsystems want parallelism.
+//! lanes runs BST construction, CV replicates and batch classification
+//! (including the serve compute threads' kernel passes), so the process
+//! never oversubscribes cores no matter how many subsystems want
+//! parallelism.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -260,10 +261,10 @@ fn helper_loop(shared: &'static Shared) {
 
 /// The process-wide shared pool, sized to the machine
 /// (`available_parallelism`), created on first use. BST construction,
-/// CV, batch classification and the serve batcher all draw from it, so
-/// parallelism is coordinated instead of multiplicative: whichever
-/// caller holds the pool fans out, everyone nested inside it or
-/// concurrent with it runs inline.
+/// CV and batch classification (the serve compute threads' kernel
+/// passes included) all draw from it, so parallelism is coordinated
+/// instead of multiplicative: whichever caller holds the pool fans out,
+/// everyone nested inside it or concurrent with it runs inline.
 pub fn global() -> &'static WorkerPool {
     static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {

@@ -1,10 +1,11 @@
-//! Proves the tentpole's zero-allocation claim: once a [`Scratch`] has
-//! warmed up, `CompiledModel::classify` / `class_values_into` perform no
-//! heap allocation per query. A counting global allocator wraps the
+//! Proves the zero-allocation claim: once a [`Scratch`] has warmed up,
+//! per-query (`CompiledModel::classify` / `class_values_into`), batch and
+//! pooled classification through that one scratch perform no heap
+//! allocation. A counting global allocator wraps the
 //! system one; this file holds exactly one test so no concurrent test can
 //! pollute the counter.
 
-use bstc::{Arithmetization, BatchScratch, BstcModel, ParBatchScratch, Scratch, WorkerPool};
+use bstc::{Arithmetization, BstcModel, Scratch, WorkerPool};
 use microarray::synth::BoolSynthConfig;
 use microarray::BitSet;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,15 +82,16 @@ fn steady_state_classify_does_not_allocate() {
         );
         assert!(predictions > 0); // keep the loop observable
 
-        // The batch-sweep kernel makes the same claim: once BatchScratch
-        // has seen the model shape and batch size, whole-batch
-        // classification is allocation-free.
-        let mut batch_scratch = BatchScratch::for_model(&compiled);
+        // The batch entry makes the same claim through the same scratch:
+        // once it has seen the model shape and batch size, whole-batch
+        // classification is allocation-free. A one-lane pool keeps the
+        // whole batch on lane 0.
+        let one_lane = WorkerPool::new(1);
         let mut batch_out = Vec::with_capacity(queries.len());
-        compiled.classify_batch_into(&queries, &mut batch_scratch, &mut batch_out);
+        compiled.classify_batch_into(&queries, &one_lane, &mut scratch, &mut batch_out);
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..5 {
-            compiled.classify_batch_into(&queries, &mut batch_scratch, &mut batch_out);
+            compiled.classify_batch_into(&queries, &one_lane, &mut scratch, &mut batch_out);
             predictions += batch_out.iter().sum::<usize>();
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
@@ -101,23 +103,24 @@ fn steady_state_classify_does_not_allocate() {
         );
         assert!(predictions > 0);
 
-        // The blocked + multi-core path: once ParBatchScratch has grown
-        // its per-lane scratches and the shared values arena, pooled
-        // whole-batch classification is allocation-free too — the pool
-        // broadcasts a borrowed closure, nothing is boxed per run. Lanes
-        // are pinned (the model is far below the work cutoff) so the
-        // fan-out path itself is what's measured, with a non-default
-        // block size so the blocked sweep runs multi-block.
+        // The blocked + multi-core path: once the scratch has grown its
+        // lanes and the values arena, pooled whole-batch classification
+        // is allocation-free too — the pool broadcasts a borrowed
+        // closure, nothing is boxed per run. Lanes are pinned (the model
+        // is far below the work cutoff) so the fan-out path itself is
+        // what's measured, with a non-default block size so the blocked
+        // sweep runs multi-block. Per-query calls interleave with the
+        // pooled ones on the same scratch.
         let pool = WorkerPool::new(3);
-        let mut par_scratch = ParBatchScratch::new();
-        par_scratch.set_block_bytes(256);
+        scratch.set_block_bytes(256);
         let mut par_out = Vec::with_capacity(queries.len());
-        compiled.classify_batch_par_into(&queries, &pool, &mut par_scratch, &mut par_out);
-        compiled.class_values_batch_par_into_lanes(&queries, &pool, &mut par_scratch, 3);
+        compiled.classify_batch_into(&queries, &pool, &mut scratch, &mut par_out);
+        compiled.class_values_batch_into_lanes(&queries, &pool, &mut scratch, 3);
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..5 {
-            compiled.class_values_batch_par_into_lanes(&queries, &pool, &mut par_scratch, 3);
-            predictions += (par_scratch.values_of(0)[0] >= 0.0) as usize;
+            compiled.class_values_batch_into_lanes(&queries, &pool, &mut scratch, 3);
+            predictions += (scratch.values_of(0)[0] >= 0.0) as usize;
+            predictions += compiled.classify(&queries[0], &mut scratch);
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         assert_eq!(

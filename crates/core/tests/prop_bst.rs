@@ -276,26 +276,33 @@ proptest! {
     }
 
     /// The compiled lowering and classify outputs of the interned builder
-    /// match the legacy builder's bit for bit on random queries.
+    /// match the legacy builder's bit for bit on random queries, and both
+    /// match the reference BSTCE path. The legacy BSTs reach a model
+    /// through the model's own JSON form.
     #[test]
     fn interned_build_compiles_and_classifies_like_legacy(
         d in dataset(),
         q_items in prop::collection::vec(0usize..10, 0..10),
     ) {
-        use bstc::{Arithmetization, CompiledBst, Scratch};
+        use bstc::{Arithmetization, Scratch};
         let q = BitSet::from_iter(d.n_items(), q_items.iter().map(|&g| g % d.n_items()));
+        let legacy_bsts: Vec<String> = (0..d.n_classes())
+            .map(|class| serde_json::to_string(&Bst::build_legacy(&d, class)).unwrap())
+            .collect();
         let mut scratch = Scratch::new();
-        for class in 0..d.n_classes() {
-            let new = CompiledBst::compile(&Bst::build(&d, class));
-            let old = CompiledBst::compile(&Bst::build_legacy(&d, class));
-            for arith in [Arithmetization::Min, Arithmetization::Product, Arithmetization::Mean] {
-                let v_new = new.class_value(&q, arith, &mut scratch);
-                let v_old = old.class_value(&q, arith, &mut scratch);
-                prop_assert_eq!(
-                    v_new.to_bits(), v_old.to_bits(),
-                    "class {} {:?}: {} vs {}", class, arith, v_new, v_old
-                );
-            }
+        for arith in [Arithmetization::Min, Arithmetization::Product, Arithmetization::Mean] {
+            let new = BstcModel::train_with(&d, arith);
+            let old: BstcModel = serde_json::from_str(&format!(
+                "{{\"bsts\":[{}],\"arith\":\"{arith:?}\"}}",
+                legacy_bsts.join(",")
+            ))
+            .unwrap();
+            let v_ref = new.class_values(&q);
+            let v_new = new.compile().class_values(&q, &mut scratch);
+            let v_old = old.compile().class_values(&q, &mut scratch);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&v_new), bits(&v_old), "{:?}: {:?} vs {:?}", arith, v_new, v_old);
+            prop_assert_eq!(bits(&v_new), bits(&v_ref), "{:?}: {:?} vs {:?}", arith, v_new, v_ref);
         }
     }
 

@@ -4,7 +4,7 @@
 //! for every [`Arithmetization`], and the parallel trainer must produce
 //! exactly the sequential trainer's output.
 
-use bstc::{Arithmetization, BatchScratch, BstcModel, ParBatchScratch, Scratch, WorkerPool};
+use bstc::{Arithmetization, BstcModel, Scratch, WorkerPool};
 use microarray::{BitSet, BoolDataset};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -99,17 +99,17 @@ proptest! {
         }
     }
 
-    /// The inverted batch-sweep kernel (outer columns, inner queries) is
-    /// bit-identical to the per-query compiled kernel for all three
-    /// arithmetizations, across batch sizes including the empty batch.
+    /// The batch entry (outer columns, inner queries) is bit-identical
+    /// to the reference BSTCE path for all three arithmetizations, across
+    /// batch sizes including the empty batch.
     #[test]
-    fn batch_sweep_is_bit_identical_to_per_query(case in cases()) {
+    fn batch_sweep_is_bit_identical_to_reference(case in cases()) {
         let (data, mut rng) = build_dataset(&case);
+        let pool = WorkerPool::new(3);
         for arith in [Arithmetization::Min, Arithmetization::Product, Arithmetization::Mean] {
             let model = BstcModel::train_with(&data, arith);
             let compiled = model.compile();
             let mut scratch = Scratch::new();
-            let mut batch_scratch = BatchScratch::new();
             let mut predictions = Vec::new();
             let mut queries: Vec<BitSet> = data.samples().to_vec();
             queries.push(BitSet::new(case.n_items));
@@ -122,24 +122,23 @@ proptest! {
             // buffer reuse is exercised, not just the fresh-allocation path.
             for batch in [queries.len(), 1, 3, 0, queries.len()] {
                 let part = &queries[..batch];
-                compiled.classify_batch_into(part, &mut batch_scratch, &mut predictions);
+                compiled.classify_batch_into(part, &pool, &mut scratch, &mut predictions);
                 prop_assert_eq!(predictions.len(), part.len());
                 for (qi, q) in part.iter().enumerate() {
-                    let reference = compiled.class_values(q, &mut scratch);
                     // Exact equality — loop inversion must not perturb a
                     // single float operation's order.
                     prop_assert_eq!(
-                        &reference[..],
-                        batch_scratch.values_of(qi),
+                        &model.class_values(q)[..],
+                        scratch.values_of(qi),
                         "{:?} batch={} q={}", arith, batch, qi
                     );
-                    prop_assert_eq!(compiled.classify(q, &mut scratch), predictions[qi]);
+                    prop_assert_eq!(model.classify(q), predictions[qi]);
                 }
             }
         }
     }
 
-    /// The blocked sweep is bit-identical to the per-query kernel for
+    /// The blocked sweep is bit-identical to the reference path for
     /// every column-block budget — including one-column blocks (the
     /// pre-blocking loop order) and a single all-columns block — the
     /// pooled multi-lane sweep is bit-identical for every lane count,
@@ -153,8 +152,6 @@ proptest! {
             let model = BstcModel::train_with(&data, arith);
             let compiled = model.compile();
             let mut scratch = Scratch::new();
-            let mut batch_scratch = BatchScratch::new();
-            let mut par_scratch = ParBatchScratch::new();
             let mut queries: Vec<BitSet> = data.samples().to_vec();
             queries.push(BitSet::new(case.n_items));
             queries.push(BitSet::full(case.n_items));
@@ -162,48 +159,40 @@ proptest! {
                 let density = rng.random_range(0.0..1.0);
                 queries.push(random_set(case.n_items, density, &mut rng));
             }
-            let reference: Vec<Vec<f64>> =
-                queries.iter().map(|q| compiled.class_values(q, &mut scratch)).collect();
+            let reference: Vec<Vec<f64>> = queries.iter().map(|q| model.class_values(q)).collect();
             for portable in [false, true] {
                 microarray::simd::force_portable(portable);
                 // 1 byte forces one-column blocks; 1 GiB forces a single
                 // block spanning every column; the middle sizes exercise
                 // partial blocking (scratch reused across block sizes).
                 for block_bytes in [1usize, 64, 4096, 1 << 30] {
-                    batch_scratch.set_block_bytes(block_bytes);
-                    compiled.class_values_batch_into(&queries, &mut batch_scratch);
-                    for (qi, want) in reference.iter().enumerate() {
-                        prop_assert_eq!(
-                            &want[..],
-                            batch_scratch.values_of(qi),
-                            "{:?} portable={} block={} q={}", arith, portable, block_bytes, qi
+                    scratch.set_block_bytes(block_bytes);
+                    // Pooled path at pinned lane counts (the tiny models
+                    // here never cross the work-based cutoff on their
+                    // own), including more lanes than queries.
+                    for lanes in [1usize, 2, 3, 64] {
+                        compiled.class_values_batch_into_lanes(
+                            &queries, &pool, &mut scratch, lanes,
                         );
+                        for (qi, want) in reference.iter().enumerate() {
+                            prop_assert_eq!(
+                                &want[..],
+                                scratch.values_of(qi),
+                                "{:?} portable={} block={} lanes={} q={}",
+                                arith, portable, block_bytes, lanes, qi
+                            );
+                        }
                     }
                     // The frozen pre-SIMD baseline sweep (classify_bench's
                     // kernel_speedup baseline) must stay bit-identical
                     // too, or the benchmark would compare kernels that
                     // don't compute the same thing.
-                    compiled.class_values_batch_into_legacy(&queries, &mut batch_scratch);
+                    compiled.class_values_batch_into_legacy(&queries, &mut scratch);
                     for (qi, want) in reference.iter().enumerate() {
                         prop_assert_eq!(
                             &want[..],
-                            batch_scratch.values_of(qi),
+                            scratch.values_of(qi),
                             "legacy {:?} portable={} block={} q={}", arith, portable, block_bytes, qi
-                        );
-                    }
-                }
-                // Pooled path at pinned lane counts (the tiny models here
-                // never cross the work-based cutoff on their own),
-                // including more lanes than queries.
-                for lanes in [1usize, 2, 3, 64] {
-                    compiled.class_values_batch_par_into_lanes(
-                        &queries, &pool, &mut par_scratch, lanes,
-                    );
-                    for (qi, want) in reference.iter().enumerate() {
-                        prop_assert_eq!(
-                            &want[..],
-                            par_scratch.values_of(qi),
-                            "{:?} portable={} lanes={} q={}", arith, portable, lanes, qi
                         );
                     }
                 }

@@ -118,7 +118,7 @@ impl Histogram {
     /// concurrently with readers.
     ///
     /// The sum add is a *release*: a reader that acquires the sum (see
-    /// [`Histogram::snapshot_into`]) is guaranteed to also see the
+    /// `Histogram::snapshot_into`) is guaranteed to also see the
     /// bucket increment that preceded it, so a rendered `_sum` can
     /// never include a sample the rendered buckets lack.
     pub fn record(&self, value: u64) {
@@ -188,7 +188,7 @@ impl Histogram {
     /// cumulative `<metric>_bucket{...,le="..."}` samples (non-empty
     /// buckets plus `+Inf`), then `<metric>_count` and `<metric>_sum`.
     /// The caller writes the one `# TYPE <metric> histogram` line per
-    /// family. Counts and sum come from one [`Histogram::snapshot_into`]
+    /// family. Counts and sum come from one `Histogram::snapshot_into`
     /// snapshot, so the rendered buckets are always monotone, `_count`
     /// equals the `+Inf` bucket, and `_sum` never includes a sample the
     /// buckets lack.

@@ -7,8 +7,8 @@
 //! pops one request, then drains its share of the classifies *already*
 //! queued behind it, up to `--max-batch`, and never idle-waits for more.
 //! It decodes and binarizes each request and hands the classify jobs to
-//! [`execute`], which runs
-//! [`bstc::CompiledModel::class_values_batch_par_into`] once per
+//! `execute`, which runs
+//! [`bstc::CompiledModel::class_values_batch_into`] once per
 //! same-bundle group, so each column's masks are loaded once and serve
 //! every member query while cache-hot. Coalescing therefore comes from
 //! backlog alone: an idle server adds no wait, and a busy one batches
@@ -21,7 +21,7 @@
 use crate::bundle::{ModelBundle, Prediction};
 use crate::chaos;
 use crate::metrics::Metrics;
-use bstc::{pool, ParBatchScratch};
+use bstc::{pool, Scratch};
 use microarray::BitSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -42,7 +42,7 @@ pub(crate) struct KernelJob {
 /// chatty model cannot systematically run ahead of everyone else.
 pub(crate) fn execute(
     mut jobs: Vec<KernelJob>,
-    scratch: &mut ParBatchScratch,
+    scratch: &mut Scratch,
     metrics: &Metrics,
     rotation: usize,
 ) -> Vec<Option<Vec<Prediction>>> {
@@ -78,7 +78,7 @@ pub(crate) fn execute(
             // One pass over the compiled masks serves every query of the
             // group, split across the process-wide worker pool when the
             // batch carries enough mask traffic to amortize the fan-out.
-            bundle.compiled().class_values_batch_par_into(&flat, pool::global(), scratch);
+            bundle.compiled().class_values_batch_into(&flat, pool::global(), scratch);
             ranges
                 .iter()
                 .map(|range| {
@@ -94,11 +94,8 @@ pub(crate) fn execute(
                 }
             }
             Err(_) => {
-                // The scratch may be mid-mutation; replace it wholesale
-                // (keeping the configured block budget).
-                let block_bytes = scratch.block_bytes();
-                *scratch = ParBatchScratch::new();
-                scratch.set_block_bytes(block_bytes);
+                // The scratch may be mid-mutation; replace it wholesale.
+                *scratch = Scratch::new();
                 metrics.batch_panics.inc();
             }
         }
@@ -159,7 +156,7 @@ mod tests {
         let rows: [&[f64]; 3] = [&[1.0, 4.0], &[9.0, 4.0], &[5.0, 4.0]];
         let results = execute(
             vec![job(&toy, &rows[..1]), job(&toy, &rows[1..])],
-            &mut ParBatchScratch::new(),
+            &mut Scratch::new(),
             &metrics,
             0,
         );
@@ -194,7 +191,7 @@ mod tests {
                 }
             })
             .collect();
-        let results = execute(jobs, &mut ParBatchScratch::new(), &metrics, 1);
+        let results = execute(jobs, &mut Scratch::new(), &metrics, 1);
         for (i, result) in results.into_iter().enumerate() {
             let expected = if i % 2 == 0 {
                 narrow.classify_row(&[1.0, 4.0]).unwrap()
@@ -213,8 +210,7 @@ mod tests {
         let narrow = bundle(2, "toy");
         let wide = bundle(3, "toy-wide");
         let metrics = Metrics::new();
-        let mut scratch = ParBatchScratch::new();
-        scratch.set_block_bytes(4096);
+        let mut scratch = Scratch::new();
         chaos::inject("batcher", Fault::Panic, Trigger::Times(1));
         // Rotation 0 runs the narrow group first: it takes the panic.
         let results = execute(
@@ -226,7 +222,6 @@ mod tests {
         chaos::clear_site("batcher");
         assert!(results[0].is_none(), "the panicked group's job has no answer");
         assert!(results[1].is_some(), "the other group still ran");
-        assert_eq!(scratch.block_bytes(), 4096, "the replaced scratch keeps its block budget");
         let results = execute(vec![job(&narrow, &[&[9.0, 4.0]])], &mut scratch, &metrics, 1);
         assert_eq!(results[0].as_ref().unwrap()[0].label, "pos");
         assert_eq!(metrics.snapshot().batch_panics, 1);

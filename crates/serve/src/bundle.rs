@@ -227,9 +227,11 @@ impl ModelBundle {
         let (discretizer, boolean) =
             Discretizer::fit_transform(data).map_err(|e| BundleError::Invalid(e.to_string()))?;
         let model = BstcModel::train(&boolean);
-        let correct = (0..boolean.n_samples())
-            .filter(|&s| model.classify(boolean.sample(s)) == boolean.label(s))
-            .count();
+        // Resubstitution through a transient compiled form (bit-identical
+        // to the reference path); the bundle's own slot stays empty until
+        // something serves from it.
+        let predictions = model.compile().classify_all(boolean.samples());
+        let correct = predictions.iter().zip(boolean.labels()).filter(|(p, l)| p == l).count();
         let mut provenance = provenance;
         provenance.train_accuracy = Some(correct as f64 / boolean.n_samples() as f64);
         Ok(ModelBundle {

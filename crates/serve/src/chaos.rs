@@ -4,8 +4,8 @@
 //! **sites** on its hot paths (`"classify"`, `"batcher"`, `"respond"`,
 //! `"reload"`, `"write"`, `"event_loop"`, `"registry"`). In a
 //! normal build those calls compile to nothing; under `cfg(test)` or the
-//! `chaos` cargo feature a test can arm a site with [`inject`] and the
-//! next hits fire the configured [`Fault`]:
+//! `chaos` cargo feature a test can arm a site with `inject` and the
+//! next hits fire the configured `Fault`:
 //!
 //! ```ignore
 //! chaos::inject("classify", Fault::Panic, Trigger::Probability { p: 0.05, seed: 42 });

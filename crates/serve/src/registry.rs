@@ -3,7 +3,7 @@
 //!
 //! ## Versioned models
 //!
-//! Every named model is a [`ModelState`] holding the current
+//! Every named model is a `ModelState` holding the current
 //! [`ModelVersion`] behind `RwLock<Arc<...>>` — the same hot-swap shape
 //! PR 2 used for the single served bundle, now one lock per model so a
 //! `/v1/models/{a}/reload` never contends with traffic on model `b`.
@@ -21,7 +21,7 @@
 //! word-parallel form is derived state that costs real memory per
 //! model. [`ModelRegistry::touch`] lowers it lazily on first use and
 //! maintains an LRU over bundles whose compiled form is resident; past
-//! [`ModelRegistry::max_resident`], the coldest bundle's cache is
+//! `ModelRegistry::max_resident`, the coldest bundle's cache is
 //! evicted ([`ModelBundle::evict_compiled`]) — in-flight requests keep
 //! the `Arc<CompiledModel>` they already cloned, and the next request
 //! for the evicted model simply re-lowers. `bstc_models_resident` and
@@ -144,7 +144,7 @@ struct ResidencyLru {
     order: Vec<(usize, Weak<ModelBundle>)>,
 }
 
-/// The registry: a name → [`ModelState`] map plus the residency LRU.
+/// The registry: a name → `ModelState` map plus the residency LRU.
 #[derive(Debug)]
 pub struct ModelRegistry {
     models: RwLock<BTreeMap<String, Arc<ModelState>>>,

@@ -66,7 +66,7 @@ use crate::registry::{ModelRegistry, ModelVersion, RegistryError};
 use crate::router::{route_of, Route};
 use crate::shadow::{ShadowExecutor, ShadowJob, ShadowRoute, ShadowSpec};
 use crate::sys;
-use bstc::ParBatchScratch;
+use bstc::Scratch;
 use microarray::BitSet;
 use serde_json::{json, Value};
 use std::io;
@@ -109,10 +109,6 @@ pub struct ServerConfig {
     /// Most queued requests one compute thread drains into a batch
     /// (`--max-batch`, at least 1; 1 disables coalescing).
     pub max_batch: usize,
-    /// Column-block budget of the batch-sweep kernel, in bytes of
-    /// compiled mask data (`--kernel-block-bytes`); 0 uses the built-in
-    /// default (half a typical L2).
-    pub kernel_block_bytes: usize,
     /// Directory of `*.json` bundles to serve as a fleet
     /// (`--models-dir`); each file registers under its stem. `None`
     /// serves the single bundle passed to [`serve`].
@@ -145,7 +141,6 @@ impl Default for ServerConfig {
             request_timeout: Some(Duration::from_secs(10)),
             drain_timeout: Duration::from_secs(5),
             max_batch: 32,
-            kernel_block_bytes: 0,
             models_dir: None,
             default_model: None,
             max_resident: 0,
@@ -323,7 +318,7 @@ fn serve_registry(
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("bstc-serve-compute-{i}"))
-                .spawn(move || compute(&shared, config.max_batch, config.kernel_block_bytes))
+                .spawn(move || compute(&shared, config.max_batch))
                 .expect("spawn compute thread")
         })
         .collect();
@@ -344,13 +339,12 @@ impl Drop for AliveGauge<'_> {
 /// One compute thread: take the first queued request, drain its share
 /// of what else is already queued, serve the batch, and repeat until
 /// the queue closes and drains.
-fn compute(shared: &Shared, max_batch: usize, kernel_block_bytes: usize) {
+fn compute(shared: &Shared, max_batch: usize) {
     let _alive = AliveGauge(&shared.metrics.workers_alive);
     // One kernel scratch per thread, so steady-state batches allocate
     // nothing in the kernel; it regrows if /reload swaps in a larger
     // model.
-    let mut scratch = ParBatchScratch::new();
-    scratch.set_block_bytes(kernel_block_bytes);
+    let mut scratch = Scratch::new();
     // Rotates the per-model group order across batches (fair scheduling
     // under mixed load).
     let mut rotation = 0usize;
@@ -374,7 +368,7 @@ fn serve_drained(
     shared: &Shared,
     first: WorkItem,
     max_batch: usize,
-    scratch: &mut ParBatchScratch,
+    scratch: &mut Scratch,
     rotation: usize,
 ) {
     let (batch, apart) = drain(&shared.queue, first, max_batch, |item| is_classify(&item.request));
@@ -453,12 +447,7 @@ enum Step {
 /// back to the event loop.
 /// Pure compute: no socket is touched here, so a hostile or slow client
 /// can never pin a compute thread.
-fn serve_batch(
-    shared: &Shared,
-    items: Vec<WorkItem>,
-    scratch: &mut ParBatchScratch,
-    rotation: usize,
-) {
+fn serve_batch(shared: &Shared, items: Vec<WorkItem>, scratch: &mut Scratch, rotation: usize) {
     let mut pending = Vec::new();
     for item in items {
         shared.metrics.batch_wait_us.record(micros(item.dispatched.elapsed()));
@@ -1030,7 +1019,7 @@ mod tests {
             let item = WorkItem { token, gen: 0, request, started, dispatched: Instant::now() };
             assert!(shared.queue.push(item).is_ok(), "test queue overflow");
         }
-        let mut scratch = ParBatchScratch::new();
+        let mut scratch = Scratch::new();
         while let Some(first) = shared.queue.try_pop() {
             serve_drained(shared, first, 32, &mut scratch, 0);
         }
@@ -1254,7 +1243,7 @@ mod tests {
                 dispatched: Instant::now(),
             })
             .collect();
-        serve_batch(&s, items, &mut ParBatchScratch::new(), 0);
+        serve_batch(&s, items, &mut Scratch::new(), 0);
         chaos::clear_site("respond");
         let mut done = s.completions.drain();
         done.sort_by_key(|d| d.token);

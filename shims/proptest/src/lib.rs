@@ -226,7 +226,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Inclusive-exclusive size specification for [`vec`].
+    /// Inclusive-exclusive size specification for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -257,7 +257,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

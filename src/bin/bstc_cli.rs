@@ -110,7 +110,6 @@ commands:
   serve      --model BUNDLE.json | --models-dir DIR [--addr HOST:PORT] [--threads N]
              [--queue-depth N] [--request-timeout SECS]  (0 disables the deadline)
              [--max-batch N]  (queued requests one compute thread batches; 1 = none)
-             [--kernel-block-bytes N]  (0 = default, half a typical L2)
              [--max-connections N]  (over-cap arrivals shed with 503)
              [--chunk-threshold BYTES]  (0 disables chunked responses)
              [--default-model NAME] [--max-resident N]  (0 = no residency cap)
@@ -138,8 +137,8 @@ fn command_flags(cmd: &str) -> Option<&'static str> {
         "cv-shard" => "--data --spec --rep-start --rep-end --seed --chunk-bytes --skip-checksum",
         "serve" => {
             "--model --models-dir --addr --threads --queue-depth --request-timeout --max-batch \
-             --kernel-block-bytes --max-connections --chunk-threshold --default-model \
-             --max-resident --shadow --shadow-seed"
+             --max-connections --chunk-threshold --default-model --max-resident --shadow \
+             --shadow-seed"
         }
         _ => return None,
     })
@@ -617,10 +616,9 @@ fn train_bundle(args: &[String], data_path: &str, bundle_path: &str) -> Result<(
     let dataset = flag(args, "--dataset").unwrap_or_else(|| data_path.to_string());
     let seed: Option<u64> = parse_flag(args, "--seed")?;
     let t0 = std::time::Instant::now();
+    // Training lowers the model to measure resubstitution accuracy, so
+    // the `compile` stage appears in the breakdown.
     let bundle = ModelBundle::train(&data, Provenance::new(dataset, seed)).map_err(err)?;
-    // Lower to the word-parallel form now (the server would anyway, on
-    // first query) so the `compile` stage appears in the breakdown.
-    bundle.compiled();
     let total_secs = t0.elapsed().as_secs_f64();
     bundle.save(bundle_path).map_err(err)?;
     eprintln!(
@@ -643,15 +641,18 @@ fn cmd_classify(args: &[String]) -> Result<(), CliError> {
     let model: BstcModel =
         serde_json::from_str(&std::fs::read_to_string(&model_path).map_err(err)?).map_err(err)?;
     let data = io::read_bool_tsv(File::open(&data_path).map_err(err)?).map_err(err)?;
+    // One batch pass of the compiled kernel over every row (bit-identical
+    // to Algorithm 5); Algorithm 6 selects from each row's values.
+    let mut scratch = bstc::Scratch::new();
+    model.compile().class_values_batch_into(data.samples(), bstc::pool::global(), &mut scratch);
     let mut correct = 0usize;
     // A closed pipe (e.g. `| head`) is a normal way to consume CLI output:
     // ignore write errors instead of panicking.
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     for s in 0..data.n_samples() {
-        // One Algorithm-5 pass per row; Algorithm 6 selects from its values.
-        let values = model.class_values(data.sample(s));
-        let pred = bstc::select_class(&values);
+        let values = scratch.values_of(s);
+        let pred = bstc::select_class(values);
         let _ = writeln!(
             out,
             "sample {s}: {} (values {:?})",
@@ -1032,10 +1033,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if max_batch == 0 {
         return Err(CliError::Usage("--max-batch must be at least 1".into()));
     }
-    // Column-block budget of the batch-sweep kernel; 0 keeps the
-    // built-in default (half a typical L2).
-    let kernel_block_bytes: usize =
-        parse_flag(args, "--kernel-block-bytes")?.unwrap_or(defaults.kernel_block_bytes);
     // Concurrent-connection cap: arrivals beyond it get an immediate
     // `503` + `Retry-After`. Idle keep-alive connections count, so this
     // also bounds the fd footprint; the soft fd limit is raised to
@@ -1071,7 +1068,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         queue_depth,
         request_timeout,
         max_batch,
-        kernel_block_bytes,
         max_connections,
         chunk_threshold,
         bundle_path: bundle_path.as_ref().map(std::path::PathBuf::from),

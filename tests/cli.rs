@@ -181,7 +181,11 @@ fn missing_flag_fails_cleanly() {
 
 #[test]
 fn unknown_flags_are_usage_errors_that_name_the_flag() {
-    for args in [["serve", "--batch-wait-us", "5"], ["train", "--dta", "x"]] {
+    for args in [
+        ["serve", "--batch-wait-us", "5"],
+        ["serve", "--kernel-block-bytes", "4096"],
+        ["train", "--dta", "x"],
+    ] {
         let out = cli().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
