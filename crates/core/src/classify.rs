@@ -113,7 +113,7 @@ impl BstcModel {
         for (class, bst) in self.bsts.iter().enumerate() {
             if bst.n_items() != n_items {
                 return Err(format!(
-                    "class {class}: BST has {} items but the discretizer produces {n_items}",
+                    "class {class}: BST has {} items, expected {n_items}",
                     bst.n_items()
                 ));
             }
@@ -148,12 +148,11 @@ impl BstcModel {
             }
             bst.write_json_to(w)?;
         }
-        let arith = match self.arith {
-            Arithmetization::Min => "Min",
-            Arithmetization::Product => "Product",
-            Arithmetization::Mean => "Mean",
-        };
-        write!(w, "],\"arith\":\"{arith}\"}}")
+        w.write_all(match self.arith {
+            Arithmetization::Min => b"],\"arith\":\"Min\"}",
+            Arithmetization::Product => b"],\"arith\":\"Product\"}",
+            Arithmetization::Mean => b"],\"arith\":\"Mean\"}",
+        })
     }
 
     /// BSTCE (Algorithm 5): the classification value of `query` against one

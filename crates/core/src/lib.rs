@@ -42,6 +42,7 @@ pub mod bst;
 pub mod classify;
 pub mod classify_mc2;
 pub mod compiled;
+mod json_enc;
 pub mod mine;
 pub mod pool;
 pub mod row_bar;

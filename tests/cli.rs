@@ -86,6 +86,54 @@ fn full_pipeline_through_the_binary() {
 }
 
 #[test]
+fn classify_refuses_a_model_of_another_width() {
+    // Two presets of different gene counts discretize to item files of
+    // different widths.
+    let mut items = Vec::new();
+    for (preset, seed) in [("all", "3"), ("lc", "4")] {
+        let expr = tmp(&format!("width_{preset}.tsv"));
+        let out = cli()
+            .args(["synth", "--preset", preset, "--scale", "40", "--seed", seed])
+            .args(["--out", expr.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let path = tmp(&format!("width_{preset}_items.tsv"));
+        let out = cli()
+            .args(["discretize", "--train", expr.to_str().unwrap()])
+            .args(["--out", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        items.push(path);
+    }
+    let width = |p: &PathBuf| {
+        microarray::io::read_bool_tsv(std::fs::File::open(p).unwrap()).unwrap().n_items()
+    };
+    let (trained, other) = (width(&items[0]), width(&items[1]));
+    assert_ne!(trained, other, "fixture needs two widths");
+
+    let model = tmp("width_model.json");
+    let out = cli()
+        .args(["train", "--data", items[0].to_str().unwrap()])
+        .args(["--model", model.to_str().unwrap()])
+        .args(["--bench-out", tmp("width_bench.json").to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let out = cli()
+        .args(["classify", "--model", model.to_str().unwrap()])
+        .args(["--data", items[1].to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("BST has {trained} items, expected {other}")), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn train_save_then_serve_round_trips_over_http() {
     use std::io::{BufRead, BufReader, Read, Write};
 
@@ -364,6 +412,17 @@ fn sample_scale_preset_reports_bst_construction_counters() {
         .map(|s| s.get("stage").unwrap().as_str().unwrap())
         .collect();
     assert!(stages.contains(&"bst_build"), "bst_build stage missing from {stages:?}");
+    assert!(stages.contains(&"model_write"), "model_write stage missing from {stages:?}");
+    // The stages run one after another inside the timed total.
+    let stage_secs: f64 = doc
+        .get("stages")
+        .and_then(|v| v.as_array())
+        .unwrap()
+        .iter()
+        .map(|s| s.get("total_secs").unwrap().as_f64().unwrap())
+        .sum();
+    let total = doc.get("total_secs").and_then(|v| v.as_f64()).unwrap();
+    assert!(stage_secs <= total + 1e-3, "stages sum to {stage_secs}s, total {total}s");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use bstc::BstcModel;
 use eval::{run_cell, CvCell, SplitSpec};
-use microarray::synth::{presets, SynthConfig};
+use microarray::synth::{presets, BoolSynthConfig, SynthConfig};
 use serve::{ModelBundle, Provenance};
 
 /// FNV-1a over class ids as little-endian `u64`s — the construction
@@ -79,5 +79,55 @@ fn cv_prediction_hashes_are_pinned() {
             "3ff0000000000000:a3359ac1fc20af25",
             "3fec4ec4ec4ec4ec:ac91404546dc92e4",
         ]
+    );
+}
+
+/// An `io::Write` sink keeping the length and FNV-1a of what it is fed.
+struct FnvSink {
+    len: u64,
+    hash: u64,
+}
+
+impl std::io::Write for FnvSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        for &b in buf {
+            self.hash ^= b as u64;
+            self.hash = self.hash.wrapping_mul(0x100000001b3);
+        }
+        self.len += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Pins the model JSON writer's bytes at a shape that reaches every
+/// encoder path: 300 items and 260 samples give multi-digit hex gaps, a
+/// first item id of 0, `excl_idx` entries of three digits, zero words and
+/// 20-digit bitset words, in a 4.8 MB model. The value was taken from the
+/// `core::fmt` writer this encoder replaced.
+#[test]
+fn model_json_bytes_are_pinned() {
+    let data = BoolSynthConfig {
+        name: "model-bytes".into(),
+        n_items: 300,
+        class_sizes: vec![110, 150],
+        class_names: vec!["a".into(), "b".into()],
+        markers_per_class: 30,
+        marker_on: 0.9,
+        background_on: 0.15,
+        seed: 25,
+    }
+    .generate();
+    let model = BstcModel::train(&data);
+    let mut sink = FnvSink { len: 0, hash: 0xcbf29ce484222325 };
+    model.write_json_to(&mut sink).expect("write to an infallible sink");
+    assert_eq!(
+        (sink.len, format!("{:016x}", sink.hash)),
+        (4767647, "94c168cfdc56c645".to_string()),
+        "the model JSON bytes changed: this pins the wire form, so a new value means \
+         every model and bundle file written from now on differs from the old ones"
     );
 }
